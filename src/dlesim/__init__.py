@@ -36,6 +36,7 @@ from .hilbert import (
     ground_state,
     index_of,
     photon_expectation,
+    qubit_excitation,
 )
 from .model import (
     CouplingSchedule,
@@ -89,6 +90,7 @@ __all__ = [
     "pert_excitation_probability",
     "photon_expectation",
     "propagate",
+    "qubit_excitation",
     "run_to_order",
     "scan_divergence_locations",
     "switching_grid",

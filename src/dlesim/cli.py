@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -22,6 +24,7 @@ import numpy as np
 
 from .closedform2q import ClosedFormParams, ResonanceError, closedform_state
 from .engine import run_to_order
+from .hilbert import qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
 from .propagator import propagate, sample_times
 
@@ -33,6 +36,36 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration; message names the field."""
+
+
+_REAL_FIELDS = (
+    "omega0_ghz",
+    "omega_c_ghz",
+    "g_eff_ghz",
+    "switch_ratio",
+    "switch_freq_ghz",
+    "t_final_ns",
+    "sample_dt_ns",
+)
+_INTEGER_FIELDS = ("n_qubits", "n_max", "order", "qubit_index")
+_OPTIONAL_FIELDS = frozenset({"switch_ratio", "switch_freq_ghz", "n_max"})
+
+
+def _check_types(config: "RunConfig") -> None:
+    """Finite numbers and true integers only; bool counts as neither."""
+    for name in _REAL_FIELDS + _INTEGER_FIELDS:
+        value = getattr(config, name)
+        if value is None and name in _OPTIONAL_FIELDS:
+            continue
+        if isinstance(value, bool):
+            ok = False
+        elif name in _INTEGER_FIELDS:
+            ok = isinstance(value, numbers.Integral)
+        else:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        if not ok:
+            kind = "an integer" if name in _INTEGER_FIELDS else "a finite number"
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +85,7 @@ class RunConfig:
     qubit_index: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.switch_ratio is not None and self.switch_freq_ghz is not None:
             raise ConfigError(
                 "switch_ratio and switch_freq_ghz are mutually exclusive"
@@ -184,12 +218,10 @@ def cmd_perturb(config: RunConfig, out_path: str) -> int:
         params, config.coupling_schedule(), config.order, config.t_final_ns
     )
     times = sample_times(config.t_final_ns, config.sample_dt_ns)
-    rows = []
-    for t in times:
-        amps = solution.amplitudes(float(t))
-        weights = np.abs(amps) ** 2
-        mask = solution.space.bit_table[:, config.qubit_index].astype(bool)
-        rows.append((t, float(weights[mask].sum()), float(np.sqrt(weights.sum()))))
+    amps = solution.amplitudes_at(times)
+    p_exc = qubit_excitation(amps, solution.space, config.qubit_index)
+    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
+    rows = list(zip(times, p_exc, norms))
     write_csv(out_path, ("t_ns", "p_excite", "norm_truncated"), rows)
     return EXIT_OK
 
@@ -226,24 +258,27 @@ def _closedform_column(
     return column, False
 
 
-def cmd_compare(config: RunConfig, out_path: str) -> int:
-    """Exact vs perturbative vs closed form; summary of sup and RMS differences."""
-    params = config.system_params("compare")
+def exact_vs_pert(
+    config: RunConfig, command: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample times, exact and perturbative excitation probabilities of one run."""
+    params = config.system_params(command)
     schedule = config.coupling_schedule()
     traj = propagate(params, schedule, config.t_final_ns, config.sample_dt_ns)
     p_exact = traj.excitation_probabilities(config.qubit_index)
     solution = run_to_order(params, schedule, config.order, config.t_final_ns)
-    p_pert = np.array(
-        [
-            solution.excitation_probability(config.qubit_index, float(t))
-            for t in traj.times
-        ]
-    )
-    p_cf, guard_hit = _closedform_column(config, traj.times)
+    p_pert = solution.excitation_probability(config.qubit_index, traj.times)
+    return traj.times, p_exact, p_pert
+
+
+def cmd_compare(config: RunConfig, out_path: str) -> int:
+    """Exact vs perturbative vs closed form; summary of sup and RMS differences."""
+    times, p_exact, p_pert = exact_vs_pert(config, "compare")
+    p_cf, guard_hit = _closedform_column(config, times)
 
     diff_pert = np.abs(p_exact - p_pert)
     rows = []
-    for i, t in enumerate(traj.times):
+    for i, t in enumerate(times):
         if p_cf is None:
             rows.append((t, p_exact[i], p_pert[i], None, diff_pert[i], None))
         else:
@@ -279,17 +314,7 @@ def _sweep_point(args: tuple[RunConfig, float]) -> tuple[float, float, float]:
     """One sweep row: (ratio, sup |p_exact - p_pert|, max p_pert)."""
     config, ratio = args
     point = replace(config, switch_ratio=ratio, switch_freq_ghz=None)
-    params = point.system_params("sweep")
-    schedule = point.coupling_schedule()
-    traj = propagate(params, schedule, point.t_final_ns, point.sample_dt_ns)
-    p_exact = traj.excitation_probabilities(point.qubit_index)
-    solution = run_to_order(params, schedule, point.order, point.t_final_ns)
-    p_pert = np.array(
-        [
-            solution.excitation_probability(point.qubit_index, float(t))
-            for t in traj.times
-        ]
-    )
+    _, p_exact, p_pert = exact_vs_pert(point, "sweep")
     return (
         ratio,
         float(np.abs(p_exact - p_pert).max()),

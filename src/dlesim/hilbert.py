@@ -152,16 +152,25 @@ def ground_state(space: HilbertSpace) -> StateVector:
     return basis_vector(space, 0)
 
 
-def excitation_probability(state: StateVector, qubit_index: int) -> float:
-    """Total weight on basis states whose bit at ``qubit_index`` is 1."""
-    space = state.space
+def qubit_excitation(
+    amplitudes: np.ndarray, space: HilbertSpace, qubit_index: int
+) -> np.ndarray:
+    """Weight on basis states whose bit at ``qubit_index`` is 1.
+
+    ``amplitudes`` is one state (dim,) or one state per row (S, dim); the
+    result has the leading shape.  Not renormalized.
+    """
     if not 0 <= qubit_index < space.n_qubits:
         raise ValueError(
             f"qubit_index={qubit_index} outside [0, {space.n_qubits - 1}]"
         )
-    weights = np.abs(state.amplitudes) ** 2
-    mask = space.bit_table[:, qubit_index].astype(bool)
-    return float(weights[mask].sum())
+    weights = np.abs(amplitudes) ** 2
+    return weights @ space.bit_table[:, qubit_index].astype(float)
+
+
+def excitation_probability(state: StateVector, qubit_index: int) -> float:
+    """Total weight on basis states whose bit at ``qubit_index`` is 1."""
+    return float(qubit_excitation(state.amplitudes, state.space, qubit_index))
 
 
 def photon_expectation(state: StateVector) -> float:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace, StateVector
+from .hilbert import HilbertSpace, StateVector, qubit_excitation
 from .model import CouplingSchedule, SystemParams, hamiltonian_matrix, switching_grid
 
 _HERMITICITY_ATOL = 1e-12
@@ -46,13 +46,7 @@ class Trajectory:
         return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=1))
 
     def excitation_probabilities(self, qubit_index: int) -> np.ndarray:
-        if not 0 <= qubit_index < self.space.n_qubits:
-            raise ValueError(
-                f"qubit_index={qubit_index} outside [0, {self.space.n_qubits - 1}]"
-            )
-        weights = np.abs(self.amplitudes) ** 2
-        mask = self.space.bit_table[:, qubit_index].astype(float)
-        return weights @ mask
+        return qubit_excitation(self.amplitudes, self.space, qubit_index)
 
     def photon_expectations(self) -> np.ndarray:
         weights = np.abs(self.amplitudes) ** 2

@@ -98,6 +98,73 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+def run_config(tmp_path, capsys, data):
+    """Exit code and stderr of `dlesim perturb` on a config document."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    code = main(["perturb", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    return code, capsys.readouterr().err
+
+
+REAL_FIELDS = (
+    "omega0_ghz",
+    "omega_c_ghz",
+    "g_eff_ghz",
+    "switch_ratio",
+    "switch_freq_ghz",
+    "t_final_ns",
+    "sample_dt_ns",
+)
+
+
+class TestConfigProbes:
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_nan_rejected(self, tmp_path, capsys, field):
+        code, err = run_config(tmp_path, capsys, {field: float("nan")})
+        assert code == EXIT_CONFIG
+        assert f"config error: {field} must be a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_infinity_rejected(self, tmp_path, capsys, field, value):
+        code, err = run_config(tmp_path, capsys, {field: value})
+        assert code == EXIT_CONFIG
+        assert f"config error: {field} must be a finite number" in err
+
+    @pytest.mark.parametrize("field", ["n_qubits", "n_max", "order", "qubit_index"])
+    def test_bool_for_integer_rejected(self, tmp_path, capsys, field):
+        code, err = run_config(tmp_path, capsys, {field: True})
+        assert code == EXIT_CONFIG
+        assert f"config error: {field} must be an integer, got True" in err
+
+    def test_bool_for_number_rejected(self, tmp_path, capsys):
+        code, err = run_config(tmp_path, capsys, {"t_final_ns": False})
+        assert code == EXIT_CONFIG
+        assert "config error: t_final_ns must be a finite number" in err
+
+    @pytest.mark.parametrize("field", ["n_qubits", "n_max", "order", "qubit_index"])
+    def test_non_integral_rejected(self, tmp_path, capsys, field):
+        code, err = run_config(tmp_path, capsys, {field: 2.5})
+        assert code == EXIT_CONFIG
+        assert f"config error: {field} must be an integer, got 2.5" in err
+
+    def test_string_order_rejected(self, tmp_path, capsys):
+        code, err = run_config(tmp_path, capsys, {"order": "2"})
+        assert code == EXIT_CONFIG
+        assert "config error: order must be an integer, got '2'" in err
+
+    def test_null_required_field_rejected(self, tmp_path, capsys):
+        code, err = run_config(tmp_path, capsys, {"omega0_ghz": None})
+        assert code == EXIT_CONFIG
+        assert "config error: omega0_ghz must be a finite number, got None" in err
+
+    def test_nan_override_rejected(self, tmp_path, capsys):
+        code = main(["exact", "--out", str(tmp_path / "o.csv"), "--switch-ratio", "nan"])
+        assert code == EXIT_CONFIG
+        assert "switch_ratio must be a finite number" in capsys.readouterr().err
+
+
 class TestCmdExact:
     def test_default_run_structure(self, tmp_path):
         out = tmp_path / "exact.csv"

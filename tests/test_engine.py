@@ -10,8 +10,15 @@ from dlesim.engine import (
     run_to_order,
     zeroth_order,
 )
+from dlesim.exppoly import ExpPoly, linear_combination
 from dlesim.hilbert import BasisState, HilbertSpace
-from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, coupling_at
+from dlesim.model import (
+    TWO_PI,
+    CouplingSchedule,
+    SystemParams,
+    coupling_at,
+    switching_grid,
+)
 from dlesim.propagator import propagate
 
 W0 = TWO_PI * 5.439
@@ -174,7 +181,7 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         h = 2e-7
         for j in (1, 2):
-            prev_table = sol.tables[j - 1].coefficients
+            prev_support = sol.support(j - 1)
             for idx in sol.support(j):
                 energy = float(sol.energies[idx])
                 for _ in range(4):
@@ -185,7 +192,7 @@ class TestInvariants:
                     drive = sum(
                         w * sol.coefficient(j - 1, src, t)
                         for src, w in adjacency[idx]
-                        if src in prev_table
+                        if src in prev_support
                     )
                     expected = -1j * (
                         energy * sol.coefficient(j, idx, t) + g_here * drive
@@ -246,3 +253,187 @@ class TestExcitationProbability:
         sol = run_to_order(make_params(), make_schedule(), 1, 1.0)
         with pytest.raises(ValueError):
             sol.coefficient(1, 5, 1.5)
+
+
+def segment_oracle(params, schedule, j_max, t_final, initial=None):
+    """Reference recursion: one ExpPoly per state, order and segment.
+
+    Solves every segment of every order in local time, matching the value
+    at each switch.  Returns the grid edges and, per order, a map from
+    state index to its per-segment polynomials (nonzero states only).
+    """
+    space = params.space()
+    index = space.ground_index() if initial is None else space.index_of_state(initial)
+    edges = switching_grid(schedule, t_final)
+    n_seg = len(edges) - 1
+    durations = np.diff(edges)
+    energies = params.omega_c * space.photon_counts + params.omega0 * space.excitation_counts
+    adjacency = interaction_adjacency(space)
+    g0 = schedule.g0
+    e0 = float(energies[index])
+    tables = [
+        {
+            index: [
+                ExpPoly.exponential(cmath.exp(-1j * e0 * float(edges[k])), -1j * e0)
+                for k in range(n_seg)
+            ]
+        }
+    ]
+    for _ in range(j_max):
+        prev = tables[-1]
+        targets = sorted({t for i in prev for t, _ in adjacency[i]})
+        table = {}
+        for target in targets:
+            energy = float(energies[target])
+            sources = [(w, s) for s, w in adjacency[target] if s in prev]
+            a_start = 0j
+            polys = []
+            nonzero = False
+            for k in range(n_seg):
+                dt = float(durations[k])
+                if not (schedule.is_on(k) and g0 != 0.0):
+                    polys.append(ExpPoly.exponential(a_start, -1j * energy))
+                    a_start *= cmath.exp(-1j * energy * dt)
+                    nonzero = nonzero or a_start != 0
+                    continue
+                rhs = linear_combination([(w, prev[s][k]) for w, s in sources])
+                driven = rhs.mul_exp(1j * energy).integrate_from(0.0).scale(-1j * g0)
+                poly = driven.add(ExpPoly.constant(a_start)).mul_exp(-1j * energy)
+                polys.append(poly)
+                a_start = poly.eval(dt)
+                nonzero = nonzero or not poly.is_zero()
+            if nonzero:
+                table[target] = polys
+        tables.append(table)
+    return edges, tables
+
+
+def oracle_coefficient(edges, tables, order, index, t):
+    polys = tables[order].get(index)
+    if polys is None:
+        return 0j
+    k = int(np.searchsorted(edges, t, side="right")) - 1
+    k = min(max(k, 0), len(edges) - 2)
+    return polys[k].eval(t - float(edges[k]))
+
+
+HALF_10 = 0.5 / (10.0 * W0 / TWO_PI)
+
+ORACLE_CASES = {
+    "ground ratio 2.5": (make_params(n_max=2), make_schedule(2.5), 0.3, None),
+    "ground ratio 10": (make_params(n_max=2), make_schedule(10.0), 0.2, None),
+    "ground ratio 20": (make_params(n_max=2), make_schedule(20.0), 0.12, None),
+    "excited ratio 10": (
+        make_params(n_max=2),
+        make_schedule(10.0),
+        0.2,
+        BasisState((1, 0), 0),
+    ),
+    "excited two-photon ratio 20": (
+        make_params(n_max=2),
+        make_schedule(20.0),
+        0.1,
+        BasisState((0, 1), 2),
+    ),
+    "partial last segment": (make_params(n_max=2), make_schedule(10.0), 7.4 * HALF_10, None),
+    "constant coupling": (
+        make_params(n_max=2),
+        CouplingSchedule(g0=G, t_period=2 * 0.5 + 1.0),
+        0.5,
+        None,
+    ),
+    "zero coupling": (
+        make_params(n_max=2, g_eff=0.0),
+        make_schedule(10.0, g0=0.0),
+        0.2,
+        BasisState((1, 0), 1),
+    ),
+}
+
+
+class TestTransferMapAgainstSegmentOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_coefficients_match_oracle(self, case):
+        params, schedule, t_final, initial = ORACLE_CASES[case]
+        j_max = 4
+        sol = run_to_order(params, schedule, j_max, t_final, initial)
+        edges, tables = segment_oracle(params, schedule, j_max, t_final, initial)
+        assert np.array_equal(sol.edges, edges)
+        times = np.concatenate([np.linspace(0.0, t_final, 23), edges[1:-1] + 1e-6 * HALF_10])
+        times = np.clip(times, 0.0, t_final)
+        for j in range(j_max + 1):
+            assert sol.support(j) == tuple(sorted(tables[j]))
+            for idx in range(sol.space.dim):
+                for t in times:
+                    got = sol.coefficient(j, idx, float(t))
+                    want = oracle_coefficient(edges, tables, j, idx, float(t))
+                    assert abs(got - want) <= 1e-12, (j, idx, float(t))
+
+    def test_long_window_matches_oracle(self):
+        # 435 segments: the start vectors stay exact across many switches
+        params, schedule = make_params(n_max=2), make_schedule(20.0)
+        sol = run_to_order(params, schedule, 2, 2.0)
+        edges, tables = segment_oracle(params, schedule, 2, 2.0)
+        for j in (1, 2):
+            for idx in sol.support(j):
+                for t in np.linspace(1.5, 2.0, 13):
+                    got = sol.coefficient(j, idx, float(t))
+                    want = oracle_coefficient(edges, tables, j, idx, float(t))
+                    assert abs(got - want) <= 1e-12
+
+
+class TestBatchedEvaluation:
+    def test_amplitudes_at_equals_stacked_amplitudes(self):
+        # 3,001 samples span several evaluation batches
+        sol = run_to_order(make_params(n_max=4), make_schedule(), 4, 1.0)
+        times = np.linspace(0.0, 1.0, 3001)
+        batched = sol.amplitudes_at(times)
+        assert batched.shape == (len(times), sol.space.dim)
+        stacked = np.array([sol.amplitudes(float(t)) for t in times])
+        assert np.abs(batched - stacked).max() <= 1e-15
+
+    def test_max_order_truncates_sum(self):
+        sol = run_to_order(make_params(n_max=2), make_schedule(), 3, 0.5)
+        times = np.linspace(0.0, 0.5, 41)
+        for max_order in range(4):
+            want = sum(
+                np.array([[sol.coefficient(j, i, float(t)) for i in range(sol.space.dim)]
+                          for t in times])
+                for j in range(max_order + 1)
+            )
+            got = sol.amplitudes_at(times, max_order)
+            assert np.abs(got - want).max() <= 1e-14
+
+    def test_excitation_probability_scalar_and_array(self):
+        sol = run_to_order(make_params(), make_schedule(), 2, 1.0)
+        times = np.linspace(0.0, 1.0, 11)
+        batched = sol.excitation_probability(0, times)
+        assert isinstance(batched, np.ndarray) and batched.shape == (11,)
+        for t, p in zip(times, batched):
+            single = sol.excitation_probability(0, float(t))
+            assert isinstance(single, float)
+            assert abs(single - p) <= 1e-15
+
+    def test_rejects_out_of_range_batch(self):
+        sol = run_to_order(make_params(), make_schedule(), 1, 1.0)
+        with pytest.raises(ValueError):
+            sol.amplitudes_at(np.array([0.2, 1.5]))
+        with pytest.raises(ValueError):
+            sol.amplitudes_at(np.array([np.nan]))
+
+
+def test_exppoly_constructions_do_not_grow_with_window(monkeypatch):
+    calls = [0]
+    original = ExpPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExpPoly, "__init__", counting)
+    counts = []
+    for t_final in (5.0, 10.0):
+        calls[0] = 0
+        run_to_order(make_params(n_max=2), make_schedule(), 4, t_final)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
