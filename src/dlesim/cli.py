@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -50,6 +49,9 @@ _REAL_FIELDS = (
 _INTEGER_FIELDS = ("n_qubits", "n_max", "order", "qubit_index")
 _OPTIONAL_FIELDS = frozenset({"switch_ratio", "switch_freq_ghz", "n_max"})
 
+# Complex numbers in the largest array one run may allocate: 512 MiB.
+MAX_ARRAY_ELEMENTS = 1 << 25
+
 
 def _check_types(config: "RunConfig") -> None:
     """Finite numbers and true integers only; bool counts as neither."""
@@ -66,6 +68,29 @@ def _check_types(config: "RunConfig") -> None:
         if not ok:
             kind = "an integer" if name in _INTEGER_FIELDS else "a finite number"
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_size(config: "RunConfig") -> None:
+    """Reject, before any allocation, a run whose largest array is too big.
+
+    That is the dim x dim Hamiltonian, the engine's (order + 1) x segments
+    x dim start vectors or the samples x dim amplitudes, dim = 2^N (n_max+1).
+    """
+    n_max = min(config.resolved_n_max("exact"), 1 << 32)  # the largest default
+    dim = 2 ** min(config.n_qubits, 64) * (n_max + 1)  # caps keep the ints small
+    segments = config.t_final_ns * config.switching_frequency / math.pi
+    samples = config.t_final_ns / config.sample_dt_ns + 1
+    switch = "switch_freq_ghz" if config.switch_freq_ghz is not None else "switch_ratio"
+    for elements, cause in (
+        (dim * dim, "n_qubits and n_max"),
+        ((config.order + 1) * segments * dim, f"t_final_ns, {switch} and order"),
+        (samples * dim, "t_final_ns and sample_dt_ns"),
+    ):
+        if elements > MAX_ARRAY_ELEMENTS:
+            raise ConfigError(
+                f"{cause} need {float(elements):.3g} complex numbers in one "
+                f"array, more than the budget of {MAX_ARRAY_ELEMENTS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,7 @@ class RunConfig:
                 f"qubit_index must be in [0, {self.n_qubits - 1}], "
                 f"got {self.qubit_index}"
             )
+        _check_size(self)
 
     @property
     def omega0(self) -> float:
@@ -310,16 +336,11 @@ def cmd_compare(config: RunConfig, out_path: str) -> int:
     return EXIT_GUARD if guard_hit else EXIT_OK
 
 
-def _sweep_point(args: tuple[RunConfig, float]) -> tuple[float, float, float]:
+def _sweep_point(point: RunConfig) -> tuple[float, float, float]:
     """One sweep row: (ratio, sup |p_exact - p_pert|, max p_pert)."""
-    config, ratio = args
-    point = replace(config, switch_ratio=ratio, switch_freq_ghz=None)
     _, p_exact, p_pert = exact_vs_pert(point, "sweep")
-    return (
-        ratio,
-        float(np.abs(p_exact - p_pert).max()),
-        float(p_pert.max()),
-    )
+    sup = float(np.abs(p_exact - p_pert).max())
+    return point.switch_ratio, sup, float(p_pert.max())
 
 
 def cmd_sweep(
@@ -328,9 +349,8 @@ def cmd_sweep(
     ratio_min: float,
     ratio_max: float,
     points: int,
-    max_workers: Optional[int] = None,
 ) -> int:
-    """Sweep the switching ratio; rows computed independently, sorted by ratio."""
+    """Sweep the switching ratio; one row per ratio, in ascending order."""
     if not 0 < ratio_min < ratio_max:
         raise ConfigError(
             f"need 0 < ratio_min < ratio_max, got {ratio_min}, {ratio_max}"
@@ -340,14 +360,10 @@ def cmd_sweep(
     ratios = [
         ratio_min + (ratio_max - ratio_min) * i / (points - 1) for i in range(points)
     ]
-    tasks = [(config, r) for r in ratios]
-    if max_workers == 1 or len(tasks) == 1:
-        results = [_sweep_point(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    results.sort(key=lambda row: row[0])
-    write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), results)
+    # every point is checked against the size budget before the first runs
+    configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
+    rows = [_sweep_point(point) for point in configs]
+    write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), rows)
     return EXIT_OK
 
 
@@ -377,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--points", type=int, default=21)
             cmd.add_argument("--ratio-min", type=float, default=4.0)
             cmd.add_argument("--ratio-max", type=float, default=24.0)
-            cmd.add_argument("--workers", type=int, default=None)
+            cmd.add_argument("--workers", type=int, help="no-op: points run serially")
     return parser
 
 
@@ -391,13 +407,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         if args.command == "exact":
             return cmd_exact(config, args.out)
         if args.command == "perturb":
@@ -410,7 +419,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ratio_min=args.ratio_min,
             ratio_max=args.ratio_max,
             points=args.points,
-            max_workers=args.workers,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

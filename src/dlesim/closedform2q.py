@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import HilbertSpace, StateVector
-from .model import TWO_PI, CouplingSchedule, SystemParams
+from .model import TWO_PI
 
 
 class ResonanceError(ValueError):
@@ -51,21 +51,6 @@ class ClosedFormParams:
             raise ValueError("omega0 and omega_c must be > 0")
         if self.t_period <= 0:
             raise ValueError(f"t_period must be > 0, got {self.t_period}")
-
-    @classmethod
-    def from_system(
-        cls,
-        params: SystemParams,
-        schedule: CouplingSchedule,
-        eps_res: float = 1e-6,
-    ) -> "ClosedFormParams":
-        return cls(
-            omega0=params.omega0,
-            omega_c=params.omega_c,
-            g_eff=schedule.g0,
-            t_period=schedule.t_period,
-            eps_res=eps_res,
-        )
 
     @property
     def switching_frequency(self) -> float:

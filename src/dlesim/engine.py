@@ -32,7 +32,13 @@ import numpy as np
 
 from .exppoly import RATE_MERGE_TOL, ExpPoly, linear_combination
 from .hilbert import BasisState, HilbertSpace, qubit_excitation
-from .model import CouplingSchedule, SystemParams, coupling_terms, switching_grid
+from .model import (
+    CouplingSchedule,
+    SystemParams,
+    coupling_terms,
+    locate,
+    switching_grid,
+)
 
 # Complex numbers in one evaluation batch (samples x terms x states): 4 MB.
 _BATCH_ELEMENTS = 1 << 18
@@ -178,10 +184,6 @@ class PerturbativeSolution:
         return len(self.tables) - 1
 
     @property
-    def t_final(self) -> float:
-        return float(self.edges[-1])
-
-    @property
     def n_segments(self) -> int:
         return len(self.edges) - 1
 
@@ -207,17 +209,6 @@ class PerturbativeSolution:
     def support(self, order: int) -> tuple[int, ...]:
         return self.tables[order].support()
 
-    def _locate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Segment index and local time of each sample (right-continuous)."""
-        t_final = self.t_final
-        inside = (times >= 0) & (times <= t_final * (1 + 1e-12) + 1e-12)
-        if not inside.all():
-            bad = float(times[~inside][0])
-            raise ValueError(f"t={bad} outside [0, {t_final}]")
-        k = np.searchsorted(self.edges, times, side="right") - 1
-        k = np.clip(k, 0, self.n_segments - 1)
-        return k, times - self.edges[k]
-
     def _starts(self, segments: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Sum of the start vectors of orders max(lo, 0)..hi, on the reachable states."""
         rows = np.ix_(segments, self.states)
@@ -228,7 +219,7 @@ class PerturbativeSolution:
 
     def _evaluate(self, times: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Sum of the coefficients of orders lo..hi, shape (len(times), dim)."""
-        segments, tau = self._locate(times)
+        segments, tau = locate(self.edges, times)
         states = self.states
         free_rates = -1j * self.energies[states]
         out = np.zeros((len(times), self.space.dim), dtype=np.complex128)

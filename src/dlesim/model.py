@@ -100,9 +100,6 @@ class CouplingSchedule:
         """Whether the coupling is on during half-period segment ``segment_index``."""
         return segment_index % 2 == 0
 
-    def coupling_at(self, t: float) -> float:
-        return coupling_at(self, t)
-
 
 def coupling_at(schedule: CouplingSchedule, t: float) -> float:
     """Instantaneous coupling value g(t), right-continuous at switches."""
@@ -128,6 +125,22 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     else:
         edges[-1] = t_final
     return np.array(edges)
+
+
+def locate(edges: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index and local time of each time on the grid ``edges``.
+
+    Right-continuous: a time on an interior edge opens the next segment at
+    local time 0, t_final closes the last one, and times outside raise.
+    """
+    t_final = float(edges[-1])
+    inside = (times >= 0) & (times <= t_final * (1 + 1e-12) + 1e-12)
+    if not inside.all():
+        bad = float(times[~inside][0])
+        raise ValueError(f"t={bad} outside [0, {t_final}]")
+    k = np.searchsorted(edges, times, side="right") - 1
+    k = np.clip(k, 0, len(edges) - 2)
+    return k, times - edges[k]
 
 
 def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:

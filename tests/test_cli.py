@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from dlesim import cli
 from dlesim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
     EXIT_IO,
     EXIT_OK,
+    MAX_ARRAY_ELEMENTS,
     ConfigError,
     RunConfig,
     cmd_compare,
@@ -165,6 +167,49 @@ class TestConfigProbes:
         assert "switch_ratio must be a finite number" in capsys.readouterr().err
 
 
+class TestSizeBudget:
+    """Checked from the config alone: none of these runs is ever started."""
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"n_qubits": 40}, "n_qubits"),
+            ({"n_qubits": 10**100}, "n_qubits"),
+            ({"n_max": 10**400}, "n_max"),
+            ({"t_final_ns": 1e9}, "t_final_ns"),
+            ({"switch_ratio": 1e12}, "switch_ratio"),
+            ({"switch_freq_ghz": 1e14}, "switch_freq_ghz"),
+            ({"sample_dt_ns": 1e-9}, "sample_dt_ns"),
+            ({"t_final_ns": 1e300, "sample_dt_ns": 1e-300}, "t_final_ns"),
+        ],
+    )
+    def test_oversized_run_rejected(self, tmp_path, data, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=field) as info:
+            load_config(str(path))
+        assert f"budget of {MAX_ARRAY_ELEMENTS}" in str(info.value)
+
+    def test_override_checked(self):
+        with pytest.raises(ConfigError, match="t_final_ns"):
+            load_config(None, {"t_final_ns": 1e9})
+
+    def test_long_run_accepted(self):
+        # ten times the segments and samples of the longest benchmark run
+        RunConfig(
+            switch_ratio=2.0, n_max=3, order=2, t_final_ns=20000.0, sample_dt_ns=0.05
+        )
+
+    def test_sweep_checks_every_point_before_running(self, monkeypatch, tmp_path):
+        def never(point):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "_sweep_point", never)
+        cfg = fast_config(t_final_ns=100.0)
+        with pytest.raises(ConfigError, match="switch_ratio"):
+            cmd_sweep(cfg, str(tmp_path / "s.csv"), 1.0, 1e9, 3)
+
+
 class TestCmdExact:
     def test_default_run_structure(self, tmp_path):
         out = tmp_path / "exact.csv"
@@ -260,11 +305,15 @@ class TestCmdCompare:
 
 class TestCmdSweep:
     def test_rows_sorted_and_deterministic(self, tmp_path):
-        cfg = fast_config(t_final_ns=0.5)
+        # --workers is accepted and ignored: the CSV bytes do not depend on it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_final_ns": 0.5, "sample_dt_ns": 0.05}))
         out1 = tmp_path / "s1.csv"
         out2 = tmp_path / "s2.csv"
-        cmd_sweep(cfg, str(out1), 10.0, 20.0, 3, max_workers=1)
-        cmd_sweep(cfg, str(out2), 10.0, 20.0, 3, max_workers=2)
+        span = ["--ratio-min", "10", "--ratio-max", "20", "--points", "3"]
+        args = ["sweep", "--config", str(path), *span]
+        assert main([*args, "--out", str(out1), "--workers", "2"]) == EXIT_OK
+        assert main([*args, "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         header, rows = read_csv(out1)
         assert header == ["switch_ratio", "sup_abs_diff", "max_p_pert"]
@@ -280,7 +329,7 @@ class TestCmdSweep:
 
     def test_agreement_improves_with_ratio(self, tmp_path):
         out = tmp_path / "s.csv"
-        cmd_sweep(fast_config(), str(out), 5.0, 20.0, 2, max_workers=1)
+        cmd_sweep(fast_config(), str(out), 5.0, 20.0, 2)
         _, rows = read_csv(out)
         assert rows[1][1] < rows[0][1]
 
@@ -291,7 +340,7 @@ class TestCmdSweep:
         # the sharp contrast is against the high side
         out = tmp_path / "s.csv"
         cfg = fast_config(t_final_ns=20.0, sample_dt_ns=0.05)
-        cmd_sweep(cfg, str(out), 1.9, 2.1, 3, max_workers=1)
+        cmd_sweep(cfg, str(out), 1.9, 2.1, 3)
         _, rows = read_csv(out)
         by_ratio = {row[0]: row[2] for row in rows}
         assert by_ratio[2.0] > by_ratio[1.9]

@@ -13,6 +13,7 @@ from dlesim.model import (
     coupling_at,
     hamiltonian_matrix,
     laplace_coupling,
+    locate,
     switching_grid,
 )
 
@@ -212,3 +213,26 @@ class TestSwitchingGrid:
         sched = CouplingSchedule(g0=G, t_period=50.0)
         edges = switching_grid(sched, 5.0)
         assert list(edges) == [0.0, 5.0]
+
+
+class TestLocate:
+    def test_edge_starts_next_segment(self):
+        sched = CouplingSchedule(g0=G, t_period=1.0)
+        edges = switching_grid(sched, 2.25)
+        k, tau = locate(edges, np.array([0.0, 0.25, 0.5, 1.0, 1.75]))
+        assert list(k) == [0, 0, 1, 2, 3]
+        assert list(tau) == [0.0, 0.25, 0.0, 0.0, 0.25]
+
+    def test_final_time_in_last_segment(self):
+        sched = CouplingSchedule(g0=G, t_period=1.0)
+        for t_final, last in ((2.25, 4), (2.0, 3)):
+            edges = switching_grid(sched, t_final)
+            k, tau = locate(edges, np.array([t_final]))
+            assert k[0] == last == len(edges) - 2
+            assert tau[0] == t_final - edges[last]
+
+    @pytest.mark.parametrize("t", [-1e-9, -0.5, 2.25 + 1e-6, 3.0])
+    def test_outside_window_rejected(self, t):
+        edges = switching_grid(CouplingSchedule(g0=G, t_period=1.0), 2.25)
+        with pytest.raises(ValueError, match="outside"):
+            locate(edges, np.array([0.1, t]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dlesim.hilbert import HilbertSpace, StateVector, ground_state
+from dlesim.hilbert import HilbertSpace, StateVector, basis_vector, ground_state
 from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
@@ -25,6 +25,51 @@ def make_params(n_max=2, g_eff=G, n_qubits=2):
     return SystemParams(
         omega0=W0, omega_c=WC, g_eff=g_eff, n_qubits=n_qubits, n_max=n_max
     )
+
+
+def walk_oracle(params, schedule, t_final, sample_dt, initial=None):
+    """Reference walk: step sample by sample, splitting every step at the switches.
+
+    This is the exact propagator before the shared grid walk, with its own
+    tolerance for samples on a switching instant.  Returns (times, amplitudes).
+    """
+    space = params.space()
+    psi = (ground_state(space) if initial is None else initial).amplitudes.copy()
+    decompositions = [
+        np.linalg.eigh(hamiltonian_matrix(params, g)) for g in (schedule.g0, 0.0)
+    ]
+
+    def advance(psi, kind, dt):
+        if dt == 0.0:
+            return psi
+        values, vectors = decompositions[kind]
+        return vectors @ (np.exp(-1j * values * dt) * (vectors.conj().T @ psi))
+
+    edges = switching_grid(schedule, t_final)
+    n_seg = len(edges) - 1
+    times = sample_times(t_final, sample_dt)
+    tol = 1e-12 * max(1.0, t_final)
+    out = np.empty((len(times), space.dim), dtype=np.complex128)
+    t_cur = 0.0
+    k = 0
+    for i, ts in enumerate(times):
+        while k < n_seg - 1 and edges[k + 1] < ts - tol:
+            psi = advance(psi, k % 2, float(edges[k + 1]) - t_cur)
+            t_cur = float(edges[k + 1])
+            k += 1
+        psi = advance(psi, k % 2, float(ts) - t_cur)
+        t_cur = float(ts)
+        out[i] = psi
+        while k < n_seg - 1 and abs(float(edges[k + 1]) - t_cur) <= tol:
+            k += 1
+    return times, out
+
+
+def max_oracle_gap(params, schedule, t_final, sample_dt, initial=None):
+    traj = propagate(params, schedule, t_final, sample_dt, initial)
+    times, amplitudes = walk_oracle(params, schedule, t_final, sample_dt, initial)
+    assert np.array_equal(traj.times, times)
+    return float(np.max(np.abs(traj.amplitudes - amplitudes)))
 
 
 class TestEvolveSegment:
@@ -146,6 +191,54 @@ class TestPropagate:
             propagate(params, schedule, -1.0, 0.1)
         with pytest.raises(ValueError):
             propagate(params, schedule, 1.0, 0.0)
+
+
+class TestGridWalk:
+    """propagate against the sample-by-sample walk it replaced."""
+
+    @pytest.mark.parametrize("per_period", [2, 3, 4])
+    def test_samples_on_switching_instants(self, per_period):
+        # sample_dt = T/2 puts every sample on an edge, T/3 every third one
+        params = make_params()
+        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        sample_dt = schedule.t_period / per_period
+        assert max_oracle_gap(params, schedule, 1.0, sample_dt) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [2.5, 20.0])
+    def test_partial_last_segment(self, ratio):
+        params = make_params()
+        schedule = CouplingSchedule.from_switching_frequency(G, ratio * W0)
+        t_final = 7.3 * schedule.half_period
+        edges = switching_grid(schedule, t_final)
+        assert edges[-1] - edges[-2] < 0.5 * schedule.half_period
+        assert max_oracle_gap(params, schedule, t_final, t_final / 17) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [2.5, 20.0])
+    def test_excited_initial_state(self, ratio):
+        params = make_params()
+        space = params.space()
+        initial = basis_vector(space, space.index_of((1, 1), 1))
+        schedule = CouplingSchedule.from_switching_frequency(G, ratio * W0)
+        assert max_oracle_gap(params, schedule, 2.0, 0.013, initial) <= 1e-12
+
+    def test_zero_coupling(self):
+        params = make_params(g_eff=0.0)
+        schedule = CouplingSchedule.from_switching_frequency(0.0, 20 * W0)
+        initial = basis_vector(params.space(), 5)
+        assert max_oracle_gap(params, schedule, 1.0, 0.03, initial) <= 1e-12
+
+    def test_many_segments(self):
+        params = make_params(n_max=3)
+        schedule = CouplingSchedule.from_switching_frequency(G, 2.0 * W0)
+        t_final = 40.0
+        assert len(switching_grid(schedule, t_final)) - 1 > 800
+        assert max_oracle_gap(params, schedule, t_final, 0.05) <= 1e-12
+
+    def test_batches_span_all_samples(self):
+        # 10,001 samples of dim 12: several evaluation batches per segment kind
+        params = make_params()
+        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        assert max_oracle_gap(params, schedule, 1.0, 1e-4) <= 1e-12
 
 
 class TestSampleTimes:
