@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closedform2q import ClosedFormParams, ResonanceError, closedform_state
+from .closedform2q import SPACE, ClosedFormParams, ResonanceError, closedform_state
 from .engine import run_to_order
 from .hilbert import qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
@@ -73,8 +73,8 @@ def _check_types(config: "RunConfig") -> None:
 def _check_size(config: "RunConfig") -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    That is the dim x dim Hamiltonian, the engine's (order + 1) x segments
-    x dim start vectors or the samples x dim amplitudes, dim = 2^N (n_max+1).
+    That is the dim x dim Hamiltonian, the (order + 1) x segments x dim bound
+    on the engine's period starts or the samples x dim amplitudes, dim = 2^N (n_max+1).
     """
     n_max = min(config.resolved_n_max("exact"), 1 << 32)  # the largest default
     dim = 2 ** min(config.n_qubits, 64) * (n_max + 1)  # caps keep the ints small
@@ -120,6 +120,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.g_eff_ghz < 0:
             raise ConfigError(f"g_eff_ghz must be >= 0, got {self.g_eff_ghz}")
+        if self.g_eff >= min(self.omega0, self.omega_c):
+            raise ConfigError(
+                f"g_eff_ghz must be < min(omega0_ghz, omega_c_ghz), got {self.g_eff_ghz}"
+            )
         if self.switch_ratio is not None and self.switch_ratio <= 0:
             raise ConfigError(f"switch_ratio must be > 0, got {self.switch_ratio}")
         if self.switch_freq_ghz is not None and self.switch_freq_ghz <= 0:
@@ -269,19 +273,19 @@ def _closedform_column(
         g_eff=config.g_eff,
         t_period=TWO_PI / config.switching_frequency,
     )
-    try:
-        column = np.array(
-            [
-                closedform_state(float(t), cf_params).excitation_probability(
-                    config.qubit_index
-                )
-                for t in times
-            ]
+    if cf_params.degenerate:
+        print(
+            "closed-form column skipped: omega0_ghz equals omega_c_ghz, "
+            "where the second-order closed form is singular",
+            file=sys.stderr,
         )
+        return None, True
+    try:
+        amps = closedform_state(times, cf_params)
     except ResonanceError as exc:
         print(f"closed-form column skipped: {exc}", file=sys.stderr)
         return None, True
-    return column, False
+    return qubit_excitation(amps, SPACE, config.qubit_index), False
 
 
 def exact_vs_pert(
@@ -303,21 +307,11 @@ def cmd_compare(config: RunConfig, out_path: str) -> int:
     p_cf, guard_hit = _closedform_column(config, times)
 
     diff_pert = np.abs(p_exact - p_pert)
-    rows = []
-    for i, t in enumerate(times):
-        if p_cf is None:
-            rows.append((t, p_exact[i], p_pert[i], None, diff_pert[i], None))
-        else:
-            rows.append(
-                (
-                    t,
-                    p_exact[i],
-                    p_pert[i],
-                    p_cf[i],
-                    diff_pert[i],
-                    abs(p_exact[i] - p_cf[i]),
-                )
-            )
+    empty = [None] * len(times)
+    diff_cf = empty if p_cf is None else np.abs(p_exact - p_cf)
+    rows = list(
+        zip(times, p_exact, p_pert, empty if p_cf is None else p_cf, diff_pert, diff_cf)
+    )
     write_csv(
         out_path,
         ("t_ns", "p_exact", "p_pert", "p_closedform", "abs_diff_pert", "abs_diff_cf"),
@@ -327,7 +321,6 @@ def cmd_compare(config: RunConfig, out_path: str) -> int:
     rms = float(np.sqrt(np.mean(diff_pert**2)))
     summary = f"sup|p_exact - p_pert| = {sup:.6e}, rms = {rms:.6e}"
     if p_cf is not None:
-        diff_cf = np.abs(p_exact - p_cf)
         summary += (
             f"; sup|p_exact - p_closedform| = {float(diff_cf.max()):.6e}, "
             f"rms = {float(np.sqrt(np.mean(diff_cf**2))):.6e}"

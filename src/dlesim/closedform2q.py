@@ -8,6 +8,7 @@ switching period they differ from the exact segment-wise solution by terms
 that vanish in the fast-switching limit (e.g. the first-order coefficient
 does not vanish exactly at t = 0).  The module serves as an independent
 oracle for the engine and as the source of the resonance predictions.
+Every coefficient takes a time or an array of times.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace, StateVector
+from .hilbert import HilbertSpace
 from .model import TWO_PI
+
+# The (N=2, n_max=1) basis the closed forms live on.
+SPACE = HilbertSpace(2, 1)
 
 
 class ResonanceError(ValueError):
@@ -59,6 +63,11 @@ class ClosedFormParams:
     @property
     def omega_sum(self) -> float:
         return self.omega0 + self.omega_c
+
+    @property
+    def degenerate(self) -> bool:
+        """omega0 = omega_c to 1e-12 relative, where alpha2_ee0 is singular."""
+        return abs(self.omega0 - self.omega_c) < 1e-12 * max(self.omega0, self.omega_c)
 
 
 # (family name, primary pole as function of params)
@@ -104,7 +113,7 @@ _SUM_ONLY = ("sum frequency",)
 _ALL_FAMILIES = tuple(name for name, _ in _FAMILIES)
 
 
-def alpha1_ge1(t: float, p: ClosedFormParams) -> complex:
+def alpha1_ge1(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
     """First-order coefficient of the one-excitation, one-photon states."""
     _guard(p, _SUM_ONLY)
     omega = p.omega_sum
@@ -112,21 +121,21 @@ def alpha1_ge1(t: float, p: ClosedFormParams) -> complex:
     return (
         p.g_eff
         / (2.0 * omega)
-        * (-1.0 + 2.0 * cmath.exp(-1j * t * omega) / denom)
+        * (-1.0 + 2.0 * np.exp(-1j * t * omega) / denom)
     )
 
 
-def alpha1_eg1(t: float, p: ClosedFormParams) -> complex:
+def alpha1_eg1(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
     """Identical twin of :func:`alpha1_ge1` for the mirrored qubit."""
     return alpha1_ge1(t, p)
 
 
-def alpha2_gg0(t: float, p: ClosedFormParams) -> complex:
+def alpha2_gg0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
     """Second-order coefficient of the initial state, secular term included."""
     _guard(p, _SUM_ONLY)
     omega = p.omega_sum
     ts = p.t_period
-    phase = cmath.exp(-1j * t * omega)
+    phase = np.exp(-1j * t * omega)
     tan_q = math.tan(0.25 * ts * omega)
     sec_q = 1.0 / math.cos(0.25 * ts * omega)
     numerator = (
@@ -138,12 +147,12 @@ def alpha2_gg0(t: float, p: ClosedFormParams) -> complex:
     return p.g_eff**2 * numerator / (4.0 * omega**2)
 
 
-def alpha2_ee0(t: float, p: ClosedFormParams) -> complex:
+def alpha2_ee0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
     """Second-order coefficient of the doubly excited, zero-photon state."""
     _guard(p, _ALL_FAMILIES)
     w0 = p.omega0
     wc = p.omega_c
-    if abs(w0 - wc) < 1e-12 * max(w0, wc):
+    if p.degenerate:
         raise ValueError(
             "alpha2_ee0 is singular for omega0 = omega_c (degenerate parameters)"
         )
@@ -152,9 +161,9 @@ def alpha2_ee0(t: float, p: ClosedFormParams) -> complex:
     tan_sum = math.tan(0.25 * ts * omega)
     tan_diff = math.tan(0.25 * ts * (wc - w0))
     tan_q = math.tan(0.5 * ts * w0)
-    term1 = 2j * cmath.exp(-1j * t * omega) * (tan_sum + 1j) / (w0**2 - wc**2)
+    term1 = 2j * np.exp(-1j * t * omega) * (tan_sum + 1j) / (w0**2 - wc**2)
     term2 = (
-        cmath.exp(-2j * t * w0)
+        np.exp(-2j * t * w0)
         * (2.0 * w0 * tan_diff * (tan_sum + 1j) - 2j * wc * tan_q + w0 + wc)
         / (w0 * (w0 - wc) * omega)
     )
@@ -162,16 +171,16 @@ def alpha2_ee0(t: float, p: ClosedFormParams) -> complex:
     return 0.25 * p.g_eff**2 * (term1 + term2 + term3)
 
 
-def closedform_state(t: float, p: ClosedFormParams) -> StateVector:
-    """Truncated second-order state over the (N=2, n_max=1) basis, unnormalized."""
-    space = HilbertSpace(2, 1)
-    alpha1 = alpha1_ge1(t, p)
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index_of((0, 0), 0)] = 1.0 + alpha2_gg0(t, p)
-    amps[space.index_of((1, 1), 0)] = alpha2_ee0(t, p)
-    amps[space.index_of((0, 1), 1)] = alpha1
-    amps[space.index_of((1, 0), 1)] = alpha1
-    return StateVector(amps, space)
+def closedform_state(times: float | np.ndarray, p: ClosedFormParams) -> np.ndarray:
+    """Unnormalized truncated second-order states over ``SPACE``, one row per time."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    alpha1 = alpha1_ge1(times, p)
+    amps = np.zeros((len(times), SPACE.dim), dtype=np.complex128)
+    amps[:, SPACE.index_of((0, 0), 0)] = 1.0 + alpha2_gg0(times, p)
+    amps[:, SPACE.index_of((1, 1), 0)] = alpha2_ee0(times, p)
+    amps[:, SPACE.index_of((0, 1), 1)] = alpha1
+    amps[:, SPACE.index_of((1, 0), 1)] = alpha1
+    return amps
 
 
 @dataclass(frozen=True)

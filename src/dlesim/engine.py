@@ -17,15 +17,17 @@ The order-m response Phi_m(tau) to a unit start vector is built once,
 over a single on segment, by exact exponential-polynomial algebra.  Each
 entry is the previous order's response multiplied by the interaction
 phase, integrated in closed form and scaled by the coupling.  Phi_0 is the
-free phase.  The segment-start vectors of each order then advance as numpy
-arrays, and samples are evaluated in batches over Phi's (power, rate)
-terms.  The number of ExpPoly operations depends on the dimension and the
-order, not on the number of segments.
+free phase.  The start vectors of orders 0..J, stacked into one row, then
+advance period by period through ``model.period_starts``, and samples are
+evaluated in batches over Phi's (power, rate) terms.  The number of
+ExpPoly operations depends on the dimension and the order, not on the
+number of segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -35,8 +37,10 @@ from .hilbert import BasisState, HilbertSpace, qubit_excitation
 from .model import (
     CouplingSchedule,
     SystemParams,
+    bare_energies,
     coupling_terms,
     locate,
+    period_starts,
     switching_grid,
 )
 
@@ -51,14 +55,6 @@ def interaction_adjacency(space: HilbertSpace) -> list[list[tuple[int, float]]]:
         adj[row].append((col, weight))
         adj[col].append((row, weight))
     return adj
-
-
-def _bare_energies(params: SystemParams, space: HilbertSpace) -> np.ndarray:
-    """omega_c * photons + omega0 * excited qubits, per basis state."""
-    return np.asarray(
-        params.omega_c * space.photon_counts + params.omega0 * space.excitation_counts,
-        dtype=float,
-    )
 
 
 def _reachable(adjacency: list[list[tuple[int, float]]], start: int) -> np.ndarray:
@@ -137,15 +133,13 @@ def _merged_index(keys: list[tuple[int, complex]], power: int, rate: complex) ->
 
 @dataclass(frozen=True, eq=False)
 class OrderTable:
-    """One perturbative order: segment-start vectors, support and response.
+    """One perturbative order: support and on-segment response.
 
-    ``starts[k]`` is the order's coefficient vector at the start of segment
-    k, shape (n_segments, dim).  ``response`` is Phi_order, which this order
-    and every later one apply to the start vectors of lower orders.
+    ``response`` is Phi_order, which this order and every later one apply
+    to the start vectors of lower orders.
     """
 
     order: int
-    starts: np.ndarray
     states: tuple[int, ...]
     response: SegmentResponse
     dropped_couplings: int
@@ -160,9 +154,9 @@ class OrderTable:
 
 
 class PerturbativeSolution:
-    """Segment-start vectors and on-segment responses for orders 0..j.
+    """On-segment responses for orders 0..j and the period starts they give.
 
-    Immutable once built; evaluation is pure and safe to run concurrently.
+    Immutable once built (the period starts are computed at first use).
     """
 
     def __init__(
@@ -177,7 +171,7 @@ class PerturbativeSolution:
         self.space = params.space()
         self.edges = edges
         self.tables = tables
-        self.energies = _bare_energies(params, self.space)
+        self.energies = bare_energies(params, self.space)
 
     @property
     def order(self) -> int:
@@ -209,17 +203,30 @@ class PerturbativeSolution:
     def support(self, order: int) -> tuple[int, ...]:
         return self.tables[order].support()
 
-    def _starts(self, segments: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Sum of the start vectors of orders max(lo, 0)..hi, on the reachable states."""
-        rows = np.ix_(segments, self.states)
-        total = np.zeros((len(segments), len(self.states)), dtype=np.complex128)
-        for table in self.tables[max(lo, 0) : hi + 1]:
-            total += table.starts[rows]
-        return total
+    @cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """On map and period starts, (periods, (J+1)*R), of the row (x_0 ... x_J).
+
+        Over the R reachable states the on map is block upper-triangular with
+        blocks Phi_{j-i}(T/2)^T; the period map follows it with the free phase.
+        """
+        states = self.states
+        h = self.schedule.half_period
+        blocks = [table.response.matrix(h).T for table in self.tables]
+        zero = np.zeros_like(blocks[0])
+        orders = range(len(blocks))
+        layout = [[blocks[j - i] if j >= i else zero for j in orders] for i in orders]
+        on_map = np.block(layout)
+        phase = np.tile(np.exp(-1j * self.energies[states] * h), len(self.tables))
+        first = np.zeros(len(on_map), dtype=np.complex128)
+        first[np.searchsorted(states, self.support(0))] = 1.0
+        count = (self.n_segments - 1) // 2 + 1
+        return on_map, period_starts(first, on_map * phase, count)
 
     def _evaluate(self, times: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Sum of the coefficients of orders lo..hi, shape (len(times), dim)."""
         segments, tau = locate(self.edges, times)
+        on_map, starts = self._scan
         states = self.states
         free_rates = -1j * self.energies[states]
         out = np.zeros((len(times), self.space.dim), dtype=np.complex128)
@@ -228,13 +235,16 @@ class PerturbativeSolution:
         for first in range(0, len(times), batch):
             part = slice(first, first + batch)
             k, t = segments[part], tau[part]
-            block = np.exp(np.outer(t, free_rates)) * self._starts(k, lo, hi)
+            x = starts[k // 2]
             on = self.schedule.is_on(k)
+            x[~on] = x[~on] @ on_map
+            x = x.reshape(len(k), len(self.tables), len(states))
+            block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
             if on.any():
                 for m in range(1, hi + 1):
                     response = self.tables[m].response
                     if response.n_terms:
-                        vectors = self._starts(k[on], lo - m, hi - m)
+                        vectors = x[on, max(lo - m, 0) : hi - m + 1].sum(axis=1)
                         block[on] += response.apply(t[on], vectors)
             out[part, states] = block
         return out
@@ -285,16 +295,13 @@ def zeroth_order(
         initial_index = space.index_of_state(initial)
     edges = switching_grid(schedule, t_final)
     states = _reachable(interaction_adjacency(space), initial_index)
-    energies = _bare_energies(params, space)
+    energies = bare_energies(params, space)
     rows = {}
     for n, state in enumerate(states):
         row = [ExpPoly.zero()] * len(states)
         row[n] = ExpPoly.exponential(1.0, -1j * float(energies[state]))
         rows[int(state)] = tuple(row)
-    starts = np.zeros((len(edges) - 1, space.dim), dtype=np.complex128)
-    starts[:, initial_index] = np.exp(-1j * energies[initial_index] * edges[:-1])
-    starts.setflags(write=False)
-    table = OrderTable(0, starts, (initial_index,), SegmentResponse(rows, states), 0)
+    table = OrderTable(0, (initial_index,), SegmentResponse(rows, states), 0)
     return PerturbativeSolution(params, schedule, edges, (table,))
 
 
@@ -330,17 +337,14 @@ def _next_response(
 def next_order(prev: PerturbativeSolution) -> OrderTable:
     """Build order j = prev.order + 1 from the orders already in prev.
 
-    The on-segment response Phi_j comes from Phi_{j-1}.  The start vectors
-    then advance across the grid: an off segment multiplies by the free
-    phase, an on segment adds ``sum_{1<=m<=j} Phi_m(T/2) x_{j-m}`` to it,
-    with x_j(0) = 0.  Couplings that would raise the photon number beyond
-    the cutoff are dropped and counted.
+    The on-segment response Phi_j comes from Phi_{j-1}; the support is every
+    state coupled to the previous order's support.  Couplings that would
+    raise the photon number beyond the cutoff are dropped and counted.
     """
     space = prev.space
-    j = prev.order + 1
     g0 = prev.schedule.g0
     adjacency = interaction_adjacency(space)
-    prev_support = prev.support(j - 1)
+    prev_support = prev.support(prev.order)
 
     dropped = space.n_qubits * sum(
         1 for index in prev_support if space.photon_counts[index] == space.n_max
@@ -349,36 +353,7 @@ def next_order(prev: PerturbativeSolution) -> OrderTable:
     if g0 != 0.0:
         support = tuple(sorted({t for i in prev_support for t, _ in adjacency[i]}))
     response = _next_response(prev.tables[-1].response, adjacency, prev.energies, g0)
-
-    states = prev.states
-    n_seg = prev.n_segments
-    h = prev.schedule.half_period
-    # on segments that are followed by another segment
-    on = np.flatnonzero(prev.schedule.is_on(np.arange(n_seg - 1)))
-    drive = np.zeros((n_seg - 1, len(states)), dtype=np.complex128)
-    responses = [table.response for table in prev.tables[1:]] + [response]
-    for m, phi in enumerate(responses, start=1):
-        if phi.n_terms and len(on):
-            lower = prev.tables[j - m].starts[np.ix_(on, states)]
-            drive[on] += lower @ phi.matrix(h).T
-    starts = np.zeros((n_seg, space.dim), dtype=np.complex128)
-    starts[1:, states] = _phase_scan(drive, -1j * prev.energies[states] * h)
-    starts.setflags(write=False)
-    return OrderTable(j, starts, support, response, dropped)
-
-
-def _phase_scan(drive: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """y[k] = sum_{l<=k} exp(rates * (k - l)) * drive[l], by doubling.
-
-    This is x[k+1] = exp(rates) * x[k] + drive[k] with x[0] = 0, solved in
-    log2(len(drive)) vectorised steps instead of one step per segment.
-    """
-    total = drive.copy()
-    shift = 1
-    while shift < len(total):
-        total[shift:] += np.exp(rates * shift) * total[:-shift]
-        shift *= 2
-    return total
+    return OrderTable(prev.order + 1, support, response, dropped)
 
 
 def run_to_order(

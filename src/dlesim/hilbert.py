@@ -27,11 +27,6 @@ class BasisState:
         if self.photons < 0:
             raise ValueError(f"photons must be >= 0, got {self.photons}")
 
-    @property
-    def excitations(self) -> int:
-        """Number of excited qubits (dot product of the bit string with all ones)."""
-        return sum(self.qubit_bits)
-
     def label(self) -> str:
         bits = "".join("e" if b else "g" for b in self.qubit_bits)
         return f"|{bits},{self.photons}>"

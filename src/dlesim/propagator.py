@@ -1,10 +1,11 @@
 """Exact piecewise-constant propagation of the switched-coupling dynamics.
 
-The Hamiltonian takes only two values (coupling on / coupling off), each
-constant over a half-period, so the state advances by exact matrix
-exponentials from the two cached eigendecompositions.  The segment starts
-follow from the two half-period maps, and each sample is one step from the
-start of the segment ``model.locate`` puts it in: no integrator error.
+The Hamiltonian is constant over each half-period: diagonal with the
+coupling off, so an off segment is the free phase exp(-i E tau), and with
+it on the state advances by exact exponentials from one eigendecomposition.
+``model.period_starts`` gives the state at every period start, and each
+sample is one step from the segment ``model.locate`` puts it in: no
+integrator error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .hilbert import HilbertSpace, StateVector, ground_state, qubit_excitation
 from .model import (
     CouplingSchedule,
     SystemParams,
+    bare_energies,
     hamiltonian_matrix,
     locate,
+    period_starts,
     switching_grid,
 )
 
@@ -107,8 +110,8 @@ def propagate(
 ) -> Trajectory:
     """Exact evolution from |gg...g,0> sampled at multiples of sample_dt.
 
-    One matvec per segment gives the segment-start states; the samples then
-    advance from their segment's start in batches per segment kind.
+    Each sample advances from its period start, which one doubling scan gives,
+    through the on map and then, in an off segment, the free phase.
     """
     space = params.space()
     if initial is None:
@@ -116,34 +119,35 @@ def propagate(
     elif initial.space != space:
         raise ValueError("initial state space does not match params")
 
-    on_off = (
-        _SegmentPropagator(hamiltonian_matrix(params, schedule.g0)),
-        _SegmentPropagator(hamiltonian_matrix(params, 0.0)),
-    )
+    on = _SegmentPropagator(hamiltonian_matrix(params, schedule.g0))
+    energies = bare_energies(params, space)
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)
     k, tau = locate(edges, times)
 
-    # Transposed half-period maps, made unitary by one Newton-Schulz step:
+    # Transposed maps; one Newton-Schulz step keeps each power unitary, as
     # eigh's eigenvectors are orthonormal to ~1e-15, which 1e4 products amplify.
-    identity = np.eye(space.dim, dtype=np.complex128)
-    maps = []
-    for segment in on_off:
-        m = segment.advance(identity, np.full(space.dim, schedule.half_period))
-        maps.append(m @ (1.5 * identity - 0.5 * m.conj().T @ m))
-    starts = np.empty((k[-1] + 1, space.dim), dtype=np.complex128)
-    starts[0] = initial.amplitudes
-    for j in range(k[-1]):
-        starts[j + 1] = starts[j] @ maps[j % 2]
+    h = schedule.half_period
+    on_map = _unitary(on.advance(np.eye(space.dim), np.full(space.dim, h)))
+    period_map = on_map * np.exp(-1j * energies * h)
+    starts = period_starts(initial.amplitudes, period_map, k[-1] // 2 + 1, _unitary)
 
     out = np.empty((len(times), space.dim), dtype=np.complex128)
     batch = max(1, _BATCH_ELEMENTS // space.dim)
-    on = schedule.is_on(k)
-    for rows, segment in zip((np.flatnonzero(on), np.flatnonzero(~on)), on_off):
-        for first in range(0, len(rows), batch):
-            part = rows[first : first + batch]
-            out[part] = segment.advance(starts[k[part]], tau[part])
+    for first in range(0, len(times), batch):
+        part = slice(first, first + batch)
+        segment, t = k[part], tau[part]
+        psi = starts[segment // 2]
+        off = ~schedule.is_on(segment)
+        psi[off] = (psi[off] @ on_map) * np.exp(-1j * np.outer(t[off], energies))
+        psi[~off] = on.advance(psi[~off], t[~off])
+        out[part] = psi
     return Trajectory(times=times, amplitudes=out, space=space)
+
+
+def _unitary(m: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step from a nearly unitary m towards the unitary one."""
+    return m @ (1.5 * np.eye(len(m)) - 0.5 * m.conj().T @ m)
 
 
 @dataclass(frozen=True)

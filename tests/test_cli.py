@@ -161,6 +161,14 @@ class TestConfigProbes:
         assert code == EXIT_CONFIG
         assert "config error: omega0_ghz must be a finite number, got None" in err
 
+    @pytest.mark.parametrize("value", [4.4, 6.0])
+    def test_coupling_above_a_frequency_rejected(self, tmp_path, capsys, value):
+        # 4.4 GHz exceeds omega_c_ghz only, 6.0 GHz both frequencies
+        code, err = run_config(tmp_path, capsys, {"g_eff_ghz": value})
+        assert code == EXIT_CONFIG
+        assert "config error: g_eff_ghz must be < min(omega0_ghz, omega_c_ghz)" in err
+        assert "Traceback" not in err
+
     def test_nan_override_rejected(self, tmp_path, capsys):
         code = main(["exact", "--out", str(tmp_path / "o.csv"), "--switch-ratio", "nan"])
         assert code == EXIT_CONFIG
@@ -377,6 +385,31 @@ class TestMain:
             ]
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["exact", "perturb", "compare"])
+    def test_window_shorter_than_grid_tolerance(self, tmp_path, command):
+        # below ~1e-12 ns the window still has one segment
+        out = tmp_path / "o.csv"
+        code = main([command, "--out", str(out), "--t-final-ns", "1e-13"])
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows] == [0.0, 1e-13]
+
+    def test_degenerate_frequencies_skip_closedform(self, tmp_path, capsys):
+        # alpha2_ee0 is singular at omega0 = omega_c: guard path, not a crash
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"omega0_ghz": 5.439, "omega_c_ghz": 5.439, "t_final_ns": 0.5})
+        )
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert "omega0_ghz" in err[0] and "omega_c_ghz" in err[0]
+        _, rows = read_csv(out)
+        assert all(row[3] is None and row[5] is None for row in rows)
+        assert all(row[1] is not None and row[2] is not None for row in rows)
 
     def test_guard_exit_code(self, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -10,10 +10,12 @@ from dlesim.model import (
     CouplingSchedule,
     LaplacePoleError,
     SystemParams,
+    bare_energies,
     coupling_at,
     hamiltonian_matrix,
     laplace_coupling,
     locate,
+    period_starts,
     switching_grid,
 )
 
@@ -39,8 +41,11 @@ class TestSystemParams:
 
     def test_state_energy(self):
         p = make_params()
-        assert p.state_energy(1, 1) == pytest.approx(WC + W0)
-        assert p.state_energy(0, 0) == 0.0
+        space = p.space()
+        energies = bare_energies(p, space)
+        assert energies[space.index_of((0, 1), 1)] == pytest.approx(WC + W0)
+        assert energies[space.index_of((1, 1), 1)] == pytest.approx(WC + 2 * W0)
+        assert energies[space.index_of((0, 0), 0)] == 0.0
 
 
 class TestCouplingSchedule:
@@ -214,6 +219,11 @@ class TestSwitchingGrid:
         edges = switching_grid(sched, 5.0)
         assert list(edges) == [0.0, 5.0]
 
+    @pytest.mark.parametrize("t_final", [1e-13, 1e-300])
+    def test_tiny_window_has_one_segment(self, t_final):
+        sched = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        assert list(switching_grid(sched, t_final)) == [0.0, t_final]
+
 
 class TestLocate:
     def test_edge_starts_next_segment(self):
@@ -236,3 +246,65 @@ class TestLocate:
         edges = switching_grid(CouplingSchedule(g0=G, t_period=1.0), 2.25)
         with pytest.raises(ValueError, match="outside"):
             locate(edges, np.array([0.1, t]))
+
+
+def sequential_rows(first, period_map, count):
+    rows = [first]
+    for _ in range(count - 1):
+        rows.append(rows[-1] @ period_map)
+    return np.array(rows)
+
+
+def unitary_map(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def block_triangular_map(n, orders, seed):
+    """Free phases on the diagonal blocks, small couplings above: like the engine."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((orders * n, orders * n), dtype=np.complex128)
+    phases = np.diag(np.exp(-1j * rng.uniform(0, TWO_PI, n)))
+    blocks = [phases] + [
+        0.05 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for _ in range(orders - 1)
+    ]
+    for i in range(orders):
+        for j in range(i, orders):
+            m[i * n : (i + 1) * n, j * n : (j + 1) * n] = blocks[j - i]
+    return m
+
+
+class TestPeriodStarts:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 1000])
+    def test_unitary_map_matches_sequential_products(self, count):
+        period_map = unitary_map(6, seed=count)
+        first = period_map[0].conj()
+        got = period_starts(first, period_map, count)
+        assert got.shape == (count, 6)
+        want = sequential_rows(first, period_map, count)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 1000])
+    def test_block_triangular_map_matches_sequential_products(self, count):
+        period_map = block_triangular_map(4, 3, seed=count)
+        first = np.zeros(12, dtype=np.complex128)
+        first[1] = 1.0
+        got = period_starts(first, period_map, count)
+        want = sequential_rows(first, period_map, count)
+        # the higher-order blocks grow like a polynomial in the period index
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("count, squarings", [(1, 0), (2, 0), (3, 1), (5, 2), (1000, 9)])
+    def test_project_applied_to_each_squaring(self, count, squarings):
+        calls = []
+
+        def project(m):
+            calls.append(m)
+            return m
+
+        period_map = unitary_map(3, seed=1)
+        period_starts(period_map[0], period_map, count, project)
+        assert len(calls) == squarings

@@ -140,6 +140,16 @@ class TestPropagate:
         traj = propagate(params, schedule, t_final, 0.25)
         assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-9
 
+    def test_norm_drift_over_a_long_window(self):
+        # the exact-long benchmark point: 43.5k segments next to 2*omega0;
+        # every squared period map is made unitary again, so the norm holds
+        params = make_params(n_max=3)
+        schedule = CouplingSchedule.from_switching_frequency(G, 2.0 * (1 - 1e-4) * W0)
+        t_final = 2000.0
+        assert len(switching_grid(schedule, t_final)) - 1 >= 40_000
+        traj = propagate(params, schedule, t_final, 0.05)
+        assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-13
+
     def test_reversibility(self):
         # e^{-i(-H)dt} = e^{+iH dt} inverts each segment step
         params = make_params()
