@@ -32,9 +32,7 @@ from .hilbert import (
     StateVector,
     basis_vector,
     enumerate_basis,
-    excitation_probability,
     ground_state,
-    index_of,
     photon_expectation,
     qubit_excitation,
 )
@@ -42,7 +40,6 @@ from .model import (
     CouplingSchedule,
     LaplacePoleError,
     SystemParams,
-    coupling_at,
     hamiltonian_matrix,
     laplace_coupling,
     switching_grid,
@@ -51,7 +48,6 @@ from .propagator import (
     ConvergenceReport,
     Trajectory,
     convergence_check,
-    evolve_segment,
     propagate,
 )
 
@@ -76,14 +72,10 @@ __all__ = [
     "basis_vector",
     "closedform_state",
     "convergence_check",
-    "coupling_at",
     "divergence_locations",
     "enumerate_basis",
-    "evolve_segment",
-    "excitation_probability",
     "ground_state",
     "hamiltonian_matrix",
-    "index_of",
     "laplace_coupling",
     "linear_combination",
     "next_order",

@@ -73,17 +73,23 @@ def _check_types(config: "RunConfig") -> None:
 def _check_size(config: "RunConfig") -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    That is the dim x dim Hamiltonian, the (order + 1) x segments x dim bound
-    on the engine's period starts or the samples x dim amplitudes, dim = 2^N (n_max+1).
+    With dim = 2^N (n_max+1), R = dim/2 reachable states (a bound at n_max = 0)
+    and J = order, the candidates are the dim x dim Hamiltonian, the exact
+    periods x dim and engine periods x (J+1)R period starts, the engine's
+    (J+1)R x (J+1)R on map and the samples x dim amplitudes.
     """
     n_max = min(config.resolved_n_max("exact"), 1 << 32)  # the largest default
     dim = 2 ** min(config.n_qubits, 64) * (n_max + 1)  # caps keep the ints small
+    stacked = (config.order + 1) * dim // 2
     segments = config.t_final_ns * config.switching_frequency / math.pi
+    periods = np.ceil(segments / 2)  # stays inf when segments overflow
     samples = config.t_final_ns / config.sample_dt_ns + 1
     switch = "switch_freq_ghz" if config.switch_freq_ghz is not None else "switch_ratio"
     for elements, cause in (
         (dim * dim, "n_qubits and n_max"),
-        ((config.order + 1) * segments * dim, f"t_final_ns, {switch} and order"),
+        (periods * dim, f"t_final_ns and {switch}"),
+        (periods * stacked, f"t_final_ns, {switch} and order"),
+        (stacked * stacked, "n_qubits, n_max and order"),
         (samples * dim, "t_final_ns and sample_dt_ns"),
     ):
         if elements > MAX_ARRAY_ELEMENTS:

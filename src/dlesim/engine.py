@@ -33,12 +33,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .exppoly import RATE_MERGE_TOL, ExpPoly, linear_combination
-from .hilbert import BasisState, HilbertSpace, qubit_excitation
+from .hilbert import BasisState, qubit_excitation
 from .model import (
     CouplingSchedule,
     SystemParams,
     bare_energies,
-    coupling_terms,
     locate,
     period_starts,
     switching_grid,
@@ -48,23 +47,16 @@ from .model import (
 _BATCH_ELEMENTS = 1 << 18
 
 
-def interaction_adjacency(space: HilbertSpace) -> list[list[tuple[int, float]]]:
-    """For each basis state, the (source index, weight) pairs coupled to it."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(space.dim)]
-    for row, col, weight in coupling_terms(space):
-        adj[row].append((col, weight))
-        adj[col].append((row, weight))
-    return adj
-
-
-def _reachable(adjacency: list[list[tuple[int, float]]], start: int) -> np.ndarray:
+def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
     """Sorted indices of the states connected to ``start`` by couplings."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        frontier = [j for i in frontier for j, _ in adjacency[i] if j not in seen]
-        seen.update(frontier)
-    return np.array(sorted(seen))
+    linked = coupling != 0
+    seen = np.zeros(len(coupling), dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return np.flatnonzero(seen)
 
 
 class SegmentResponse:
@@ -294,7 +286,7 @@ def zeroth_order(
     else:
         initial_index = space.index_of_state(initial)
     edges = switching_grid(schedule, t_final)
-    states = _reachable(interaction_adjacency(space), initial_index)
+    states = _reachable(space.coupling, initial_index)
     energies = bare_energies(params, space)
     rows = {}
     for n, state in enumerate(states):
@@ -306,10 +298,7 @@ def zeroth_order(
 
 
 def _next_response(
-    prev: SegmentResponse,
-    adjacency: list[list[tuple[int, float]]],
-    energies: np.ndarray,
-    g0: float,
+    prev: SegmentResponse, coupling: np.ndarray, energies: np.ndarray, g0: float
 ) -> SegmentResponse:
     """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g0 V Phi_{j-1}, Phi_j(0) = 0."""
     rows: dict[int, tuple[ExpPoly, ...]] = {}
@@ -317,7 +306,8 @@ def _next_response(
         return SegmentResponse(rows, prev.states)
     for target in prev.states:
         target = int(target)
-        sources = [(w, prev.rows[s]) for s, w in adjacency[target] if s in prev.rows]
+        linked = np.flatnonzero(coupling[target]).tolist()
+        sources = [(coupling[target, s], prev.rows[s]) for s in linked if s in prev.rows]
         if not sources:
             continue
         energy = float(energies[target])
@@ -343,16 +333,16 @@ def next_order(prev: PerturbativeSolution) -> OrderTable:
     """
     space = prev.space
     g0 = prev.schedule.g0
-    adjacency = interaction_adjacency(space)
-    prev_support = prev.support(prev.order)
+    prev_support = list(prev.support(prev.order))
 
     dropped = space.n_qubits * sum(
         1 for index in prev_support if space.photon_counts[index] == space.n_max
     )
     support: tuple[int, ...] = ()
     if g0 != 0.0:
-        support = tuple(sorted({t for i in prev_support for t, _ in adjacency[i]}))
-    response = _next_response(prev.tables[-1].response, adjacency, prev.energies, g0)
+        coupled = space.coupling[:, prev_support].any(axis=1)
+        support = tuple(np.flatnonzero(coupled).tolist())
+    response = _next_response(prev.tables[-1].response, space.coupling, prev.energies, g0)
     return OrderTable(prev.order + 1, support, response, dropped)
 
 

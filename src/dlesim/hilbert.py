@@ -1,9 +1,9 @@
-"""Qubit/photon product basis and observables on state vectors.
+"""Qubit/photon product basis, its unit coupling, and batched observables.
 
 The basis spans N two-level qubits (g=0, e=1) and a single cavity mode
 truncated at ``n_max`` photons.  Canonical enumeration order is photons
-ascending, then the qubit bit string read as a big-endian integer ascending,
-so |gg...g,0> is always index 0.
+ascending, then the qubit bit string read as a big-endian integer ascending:
+index = photons * 2^N + bit code, so |gg...g,0> is always index 0.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ def enumerate_basis(n_qubits: int, n_max: int) -> tuple[BasisState, ...]:
 
 
 class HilbertSpace:
-    """Enumerated qubit (x) photon space with index lookups.
+    """Enumerated qubit (x) photon space: the basis interface of both pipelines.
 
+    ``dim``, the per-state ``photon_counts`` and ``excitation_counts`` (the
+    bare energies), the unit ``coupling`` V and the qubit mask ``bit_table``.
     Immutable after construction; safe to share between concurrent runs.
     """
 
@@ -66,9 +68,11 @@ class HilbertSpace:
         self.bit_table = np.array([s.qubit_bits for s in self.states], dtype=np.uint8)
         self.photon_counts = np.array([s.photons for s in self.states], dtype=np.int64)
         self.excitation_counts = self.bit_table.sum(axis=1).astype(np.int64)
+        self.coupling = _unit_coupling(n_qubits, n_max)
         self.bit_table.setflags(write=False)
         self.photon_counts.setflags(write=False)
         self.excitation_counts.setflags(write=False)
+        self.coupling.setflags(write=False)
 
     def index_of(self, bits: Sequence[int], photons: int) -> int:
         """Inverse of the enumeration order."""
@@ -101,8 +105,25 @@ class HilbertSpace:
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"
 
 
-def index_of(bits: Sequence[int], photons: int, space: HilbertSpace) -> int:
-    return space.index_of(bits, photons)
+def _unit_coupling(n_qubits: int, n_max: int) -> np.ndarray:
+    """Real symmetric (dim, dim) matrix V of sum_q (s+_q + s-_q)(a + a^dagger).
+
+    Raising qubit q while removing a photon carries weight sqrt(n), and while
+    adding one sqrt(n+1); the lowering entries are the transposes.  Moves
+    past the photon cutoff are dropped, and every entry is written once.
+    """
+    n_codes = 2**n_qubits
+    dim = n_codes * (n_max + 1)
+    cols = np.arange(dim)
+    photons, codes = np.divmod(cols, n_codes)
+    v = np.zeros((dim, dim))
+    for q in range(n_qubits):
+        bit = 1 << (n_qubits - 1 - q)
+        for moved in (photons - 1, photons + 1):
+            ok = ((codes & bit) == 0) & (moved >= 0) & (moved <= n_max)
+            rows = moved[ok] * n_codes + (codes[ok] | bit)
+            v[rows, cols[ok]] = np.sqrt(np.maximum(photons, moved)[ok])
+    return v + v.T
 
 
 @dataclass(frozen=True)
@@ -128,12 +149,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def excitation_probability(self, qubit_index: int) -> float:
-        return excitation_probability(self, qubit_index)
-
-    def photon_expectation(self) -> float:
-        return photon_expectation(self)
 
 
 def basis_vector(space: HilbertSpace, index: int) -> StateVector:
@@ -163,12 +178,7 @@ def qubit_excitation(
     return weights @ space.bit_table[:, qubit_index].astype(float)
 
 
-def excitation_probability(state: StateVector, qubit_index: int) -> float:
-    """Total weight on basis states whose bit at ``qubit_index`` is 1."""
-    return float(qubit_excitation(state.amplitudes, state.space, qubit_index))
-
-
-def photon_expectation(state: StateVector) -> float:
-    """Sum of photon number weighted by amplitude weight, over the basis."""
-    weights = np.abs(state.amplitudes) ** 2
-    return float((state.space.photon_counts * weights).sum())
+def photon_expectation(amplitudes: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """Photon number weighted by amplitude weight, for (dim,) or (S, dim)."""
+    weights = np.abs(amplitudes) ** 2
+    return weights @ space.photon_counts.astype(float)

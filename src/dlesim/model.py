@@ -102,14 +102,6 @@ class CouplingSchedule:
         return segment_index % 2 == 0
 
 
-def coupling_at(schedule: CouplingSchedule, t: float) -> float:
-    """Instantaneous coupling value g(t), right-continuous at switches."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    phase = math.fmod(t, schedule.t_period)
-    return schedule.g0 if phase < schedule.half_period else 0.0
-
-
 def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     """Half-period segment edges [0, T/2, T, ...] covering [0, t_final].
 
@@ -193,46 +185,16 @@ def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
     return schedule.g0 / s / denom
 
 
-def coupling_terms(space: HilbertSpace) -> list[tuple[int, int, float]]:
-    """Unit-coupling interaction matrix elements as (row, col, weight) triples.
-
-    One triple per undirected pair, enumerated from the qubit-raising side:
-    for each state with qubit l in g, raising the qubit while removing a
-    photon carries weight sqrt(n) and while adding one carries sqrt(n+1).
-    The Hermitian partners are the transposes, added by the caller.
-    """
-    terms = []
-    for col, state in enumerate(space.states):
-        n = state.photons
-        for q in range(space.n_qubits):
-            if state.qubit_bits[q] == 1:
-                continue
-            raised = list(state.qubit_bits)
-            raised[q] = 1
-            raised = tuple(raised)
-            if n >= 1:
-                row = space.index_of(raised, n - 1)
-                terms.append((row, col, math.sqrt(n)))
-            if n + 1 <= space.n_max:
-                row = space.index_of(raised, n + 1)
-                terms.append((row, col, math.sqrt(n + 1)))
-    return terms
-
-
 def hamiltonian_matrix(params: SystemParams, coupling_value: float) -> np.ndarray:
     """Full Hamiltonian over the canonical basis for one instantaneous coupling.
 
-    Diagonal: omega_c*n + omega0*(excitation count).  Off-diagonal: the four
-    interaction terms (excitation-conserving and counter-rotating), all with
-    real elements coupling_value*sqrt(n) or coupling_value*sqrt(n+1); raising
-    terms that would leave the truncated space are dropped.  The result is
-    exactly real-symmetric by construction.
+    Diagonal: omega_c*n + omega0*(excitation count).  Off-diagonal:
+    coupling_value times the unit coupling ``space.coupling``, whose four
+    interaction terms (excitation-conserving and counter-rotating) have real
+    elements sqrt(n) or sqrt(n+1).  The result is exactly real-symmetric.
     """
     if coupling_value < 0:
         raise ValueError(f"coupling_value must be >= 0, got {coupling_value}")
     space = params.space()
     h = np.diag(bare_energies(params, space).astype(np.complex128))
-    for row, col, weight in coupling_terms(space):
-        h[row, col] += coupling_value * weight
-        h[col, row] += coupling_value * weight
-    return h
+    return h + coupling_value * space.coupling

@@ -16,7 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace, StateVector, ground_state, qubit_excitation
+from .hilbert import (
+    HilbertSpace,
+    StateVector,
+    ground_state,
+    photon_expectation,
+    qubit_excitation,
+)
 from .model import (
     CouplingSchedule,
     SystemParams,
@@ -57,8 +63,7 @@ class Trajectory:
         return qubit_excitation(self.amplitudes, self.space, qubit_index)
 
     def photon_expectations(self) -> np.ndarray:
-        weights = np.abs(self.amplitudes) ** 2
-        return weights @ self.space.photon_counts.astype(float)
+        return photon_expectation(self.amplitudes, self.space)
 
 
 class _SegmentPropagator:
@@ -75,17 +80,6 @@ class _SegmentPropagator:
         rotated = psis @ self.eigenvectors.conj()
         rotated *= np.exp(-1j * np.outer(taus, self.eigenvalues))
         return rotated @ self.eigenvectors.T
-
-
-def evolve_segment(h: np.ndarray, dt: float, state: StateVector) -> StateVector:
-    """exp(-i*H*dt)|state> for one constant Hermitian H."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    propagator = _SegmentPropagator(np.asarray(h, dtype=np.complex128))
-    if dt == 0.0:
-        return state
-    psi = propagator.advance(state.amplitudes[None, :], np.array([float(dt)]))[0]
-    return StateVector(psi, state.space)
 
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:

@@ -189,6 +189,9 @@ class TestSizeBudget:
             ({"switch_freq_ghz": 1e14}, "switch_freq_ghz"),
             ({"sample_dt_ns": 1e-9}, "sample_dt_ns"),
             ({"t_final_ns": 1e300, "sample_dt_ns": 1e-300}, "t_final_ns"),
+            ({"t_final_ns": 1e300, "switch_freq_ghz": 1e300}, "switch_freq_ghz"),
+            # the engine's on map: ((order + 1) * dim / 2)^2 = 5.9e7 elements
+            ({"n_qubits": 10, "n_max": 2, "order": 4}, "order"),
         ],
     )
     def test_oversized_run_rejected(self, tmp_path, data, field):
@@ -206,6 +209,12 @@ class TestSizeBudget:
         # ten times the segments and samples of the longest benchmark run
         RunConfig(
             switch_ratio=2.0, n_max=3, order=2, t_final_ns=20000.0, sample_dt_ns=0.05
+        )
+
+    def test_long_high_order_run_accepted(self):
+        # 5e5 segments at order 4: the engine's period starts hold 1.25e7
+        RunConfig(
+            order=4, n_max=4, t_final_ns=2300.0, sample_dt_ns=1.0, switch_ratio=20.0
         )
 
     def test_sweep_checks_every_point_before_running(self, monkeypatch, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dlesim.engine import (
-    interaction_adjacency,
     next_order,
     pert_excitation_probability,
     run_to_order,
@@ -16,7 +15,6 @@ from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
     SystemParams,
-    coupling_at,
     switching_grid,
 )
 from dlesim.propagator import propagate
@@ -33,6 +31,14 @@ def make_params(n_max=1, g_eff=G):
 
 def make_schedule(ratio=20.0, g0=G):
     return CouplingSchedule.from_switching_frequency(g0, ratio * W0)
+
+
+def adjacency_of(space):
+    """For each basis state, the (index, weight) pairs ``space.coupling`` links it to."""
+    return [
+        [(j, float(space.coupling[i, j])) for j in np.flatnonzero(row).tolist()]
+        for i, row in enumerate(space.coupling)
+    ]
 
 
 class TestZerothOrder:
@@ -177,7 +183,7 @@ class TestInvariants:
         params = make_params(n_max=2)
         schedule = make_schedule(ratio=12.0)
         sol = run_to_order(params, schedule, 2, 1.0)
-        adjacency = interaction_adjacency(sol.space)
+        adjacency = adjacency_of(sol.space)
         rng = np.random.default_rng(17)
         h = 2e-7
         for j in (1, 2):
@@ -188,7 +194,7 @@ class TestInvariants:
                     k = int(rng.integers(0, sol.n_segments))
                     lo, hi = float(sol.edges[k]), float(sol.edges[k + 1])
                     t = float(rng.uniform(lo + 3 * h, hi - 3 * h))
-                    g_here = coupling_at(schedule, t)
+                    g_here = schedule.g0 if schedule.is_on(k) else 0.0
                     drive = sum(
                         w * sol.coefficient(j - 1, src, t)
                         for src, w in adjacency[idx]
@@ -268,7 +274,7 @@ def segment_oracle(params, schedule, j_max, t_final, initial=None):
     n_seg = len(edges) - 1
     durations = np.diff(edges)
     energies = params.omega_c * space.photon_counts + params.omega0 * space.excitation_counts
-    adjacency = interaction_adjacency(space)
+    adjacency = adjacency_of(space)
     g0 = schedule.g0
     e0 = float(energies[index])
     tables = [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,9 @@ from dlesim.hilbert import (
     StateVector,
     basis_vector,
     enumerate_basis,
-    excitation_probability,
     ground_state,
-    index_of,
     photon_expectation,
+    qubit_excitation,
 )
 
 
@@ -60,7 +61,7 @@ def test_index_of_inverts_enumeration():
     for n_qubits, n_max in [(1, 0), (2, 1), (3, 3), (4, 2)]:
         space = HilbertSpace(n_qubits, n_max)
         for k, state in enumerate(space.states):
-            assert index_of(state.qubit_bits, state.photons, space) == k
+            assert space.index_of(state.qubit_bits, state.photons) == k
 
 
 def test_index_of_examples():
@@ -81,15 +82,15 @@ def test_index_of_rejects_bad_input():
 def test_ground_state_probabilities():
     space = HilbertSpace(2, 1)
     psi = ground_state(space)
-    assert excitation_probability(psi, 0) == 0.0
-    assert excitation_probability(psi, 1) == 0.0
-    assert photon_expectation(psi) == 0.0
+    assert qubit_excitation(psi.amplitudes, space, 0) == 0.0
+    assert qubit_excitation(psi.amplitudes, space, 1) == 0.0
+    assert photon_expectation(psi.amplitudes, space) == 0.0
 
 
 def test_fully_excited():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, space.index_of((1, 1), 0))
-    assert excitation_probability(psi, 1) == 1.0
+    assert qubit_excitation(psi.amplitudes, space, 1) == 1.0
 
 
 def test_equal_superposition_half():
@@ -103,13 +104,15 @@ def test_equal_superposition_half():
         if s.qubit_bits[0] == 1
     )
     assert expected == pytest.approx(0.5, abs=1e-12)
-    assert excitation_probability(psi, 0) == pytest.approx(expected, abs=1e-15)
+    assert qubit_excitation(psi.amplitudes, space, 0) == pytest.approx(
+        expected, abs=1e-15
+    )
 
 
 def test_excited_one_photon_expectation():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, space.index_of((0, 1), 1))
-    assert photon_expectation(psi) == pytest.approx(1.0)
+    assert photon_expectation(psi.amplitudes, space) == pytest.approx(1.0)
 
 
 def test_mixed_photon_expectation():
@@ -118,7 +121,7 @@ def test_mixed_photon_expectation():
     amps[space.index_of((0, 0), 0)] = 1 / np.sqrt(2)
     amps[space.index_of((0, 1), 1)] = 1 / np.sqrt(2)
     psi = StateVector(amps, space)
-    assert photon_expectation(psi) == pytest.approx(0.5)
+    assert photon_expectation(psi.amplitudes, space) == pytest.approx(0.5)
 
 
 def test_excitation_bounded_by_norm():
@@ -129,13 +132,13 @@ def test_excitation_bounded_by_norm():
         psi = StateVector(amps, space)
         norm_sq = psi.norm() ** 2
         for q in range(space.n_qubits):
-            assert excitation_probability(psi, q) <= norm_sq + 1e-12
+            assert qubit_excitation(psi.amplitudes, space, q) <= norm_sq + 1e-12
 
 
 def test_qubit_index_out_of_range():
     psi = ground_state(HilbertSpace(2, 1))
     with pytest.raises(ValueError):
-        excitation_probability(psi, 2)
+        qubit_excitation(psi.amplitudes, psi.space, 2)
 
 
 def test_statevector_shape_mismatch():
@@ -147,3 +150,56 @@ def test_amplitudes_are_read_only():
     psi = ground_state(HilbertSpace(2, 1))
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
+
+
+def coupling_terms(space):
+    """Reference unit coupling as (row, col, weight) triples, one per pair.
+
+    Enumerated from the qubit-raising side: for each state with qubit l in g,
+    raising the qubit while removing a photon carries weight sqrt(n) and
+    while adding one sqrt(n+1).  The Hermitian partners are the transposes.
+    """
+    terms = []
+    for col, state in enumerate(space.states):
+        n = state.photons
+        for q in range(space.n_qubits):
+            if state.qubit_bits[q] == 1:
+                continue
+            raised = list(state.qubit_bits)
+            raised[q] = 1
+            raised = tuple(raised)
+            if n >= 1:
+                row = space.index_of(raised, n - 1)
+                terms.append((row, col, math.sqrt(n)))
+            if n + 1 <= space.n_max:
+                row = space.index_of(raised, n + 1)
+                terms.append((row, col, math.sqrt(n + 1)))
+    return terms
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
+def test_coupling_matches_reference_terms(n_qubits, n_max):
+    space = HilbertSpace(n_qubits, n_max)
+    expected = np.zeros((space.dim, space.dim))
+    for row, col, weight in coupling_terms(space):
+        assert expected[row, col] == 0.0
+        expected[row, col] = expected[col, row] = weight
+    assert space.coupling.dtype == np.float64
+    assert np.array_equal(space.coupling, expected)
+    with pytest.raises(ValueError):
+        space.coupling[0, 0] = 1.0
+
+
+def test_batched_observables_match_rows():
+    rng = np.random.default_rng(3)
+    space = HilbertSpace(3, 2)
+    amps = rng.normal(size=(5, space.dim)) + 1j * rng.normal(size=(5, space.dim))
+    photons = photon_expectation(amps, space)
+    assert photons.shape == (5,)
+    for q in range(space.n_qubits):
+        batched = qubit_excitation(amps, space, q)
+        for row, value in zip(amps, batched):
+            assert qubit_excitation(row, space, q) == pytest.approx(value, rel=1e-15)
+    for row, value in zip(amps, photons):
+        assert photon_expectation(row, space) == pytest.approx(value, rel=1e-15)

@@ -11,7 +11,6 @@ from dlesim.model import (
     LaplacePoleError,
     SystemParams,
     bare_energies,
-    coupling_at,
     hamiltonian_matrix,
     laplace_coupling,
     locate,
@@ -26,6 +25,14 @@ G = TWO_PI * 0.050
 
 def make_params(n_qubits=2, n_max=1):
     return SystemParams(omega0=W0, omega_c=WC, g_eff=G, n_qubits=n_qubits, n_max=n_max)
+
+
+def coupling_at(schedule, t):
+    """Instantaneous coupling value g(t), right-continuous at switches."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    phase = math.fmod(t, schedule.t_period)
+    return schedule.g0 if phase < schedule.half_period else 0.0
 
 
 class TestSystemParams:

@@ -10,8 +10,8 @@ from dlesim.model import (
     switching_grid,
 )
 from dlesim.propagator import (
+    _SegmentPropagator,
     convergence_check,
-    evolve_segment,
     propagate,
     sample_times,
 )
@@ -25,6 +25,17 @@ def make_params(n_max=2, g_eff=G, n_qubits=2):
     return SystemParams(
         omega0=W0, omega_c=WC, g_eff=g_eff, n_qubits=n_qubits, n_max=n_max
     )
+
+
+def evolve_segment(h, dt, state):
+    """exp(-i*H*dt)|state> for one constant Hermitian H."""
+    if dt < 0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    propagator = _SegmentPropagator(np.asarray(h, dtype=np.complex128))
+    if dt == 0.0:
+        return state
+    psi = propagator.advance(state.amplitudes[None, :], np.array([float(dt)]))[0]
+    return StateVector(psi, state.space)
 
 
 def walk_oracle(params, schedule, t_final, sample_dt, initial=None):
