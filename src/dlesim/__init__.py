@@ -6,6 +6,12 @@ engine over exact exponential-polynomial coefficients, and closed-form
 second-order solutions for the two-qubit case.
 """
 
+import os
+
+# Every matrix here is a few hundred wide at most, so a second BLAS thread
+# only spins.  OpenBLAS reads this once, when numpy loads: keep it first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .closedform2q import (
     ClosedFormParams,
     DivergencePole,
@@ -44,12 +50,7 @@ from .model import (
     laplace_coupling,
     switching_grid,
 )
-from .propagator import (
-    ConvergenceReport,
-    Trajectory,
-    convergence_check,
-    propagate,
-)
+from .propagator import ConvergenceReport, Trajectory, convergence_check, propagate
 
 __all__ = [
     "BasisState",

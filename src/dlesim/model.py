@@ -147,15 +147,10 @@ def period_starts(
     """
     rows = np.empty((count, len(first)), dtype=np.result_type(first, period_map))
     rows[0] = first
-    # Products of at most 2^14 complex numbers: one product over all rows
-    # starts a second BLAS thread, +3 MB peak RSS at 40k segments on 2 CPUs.
-    chunk = max(1, (1 << 14) // len(first))
     power, filled = period_map, 1
     while filled < count:
         step = min(filled, count - filled)
-        for lo in range(0, step, chunk):
-            hi = min(lo + chunk, step)
-            np.matmul(rows[lo:hi], power, out=rows[filled + lo : filled + hi])
+        np.matmul(rows[:step], power, out=rows[filled : filled + step])
         filled += step
         if filled < count:
             power = project(power @ power)

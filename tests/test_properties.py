@@ -1,6 +1,9 @@
 """Property tests of both pipelines over random physical parameters."""
 
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlesim import cli
 from dlesim.engine import run_to_order
 from dlesim.hilbert import HilbertSpace, qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
@@ -102,3 +106,33 @@ def test_every_qubit_excited_alike(
             [qubit_excitation(amplitudes, traj.space, q) for q in range(n_qubits)]
         )
         assert np.ptp(probabilities, axis=0).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    config=st.fixed_dictionaries(
+        dict(
+            omega0_ghz=st.floats(min_value=2.0, max_value=8.0),
+            omega_c_ghz=st.floats(min_value=2.0, max_value=8.0),
+            switch_ratio=st.floats(min_value=1.5, max_value=30.0),
+            n_qubits=st.integers(min_value=1, max_value=3),
+            n_max=st.integers(min_value=0, max_value=2),
+            order=st.integers(min_value=0, max_value=3),
+            t_final_ns=st.floats(min_value=0.05, max_value=5.0),
+        )
+    ),
+    g_fraction=st.floats(min_value=0.0, max_value=0.1),
+)
+def test_cli_csv_byte_identical_across_runs(config, g_fraction):
+    config["g_eff_ghz"] = g_fraction * min(config["omega0_ghz"], config["omega_c_ghz"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        for command in ("exact", "perturb", "compare"):
+            runs = []
+            for name in ("a.csv", "b.csv"):
+                out = Path(tmp) / name
+                code = cli.main([command, "--config", str(path), "--out", str(out)])
+                assert code in (cli.EXIT_OK, cli.EXIT_GUARD)
+                runs.append((code, out.read_bytes()))
+            assert runs[0] == runs[1]
