@@ -10,11 +10,13 @@ import os
 
 # Every matrix here is a few hundred wide at most, so a second BLAS thread
 # only spins.  OpenBLAS reads this once, when numpy loads: keep it first.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A count the user chose under any of OpenBLAS's three names wins.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .closedform2q import (
     ClosedFormParams,
-    DivergencePole,
     ResonanceError,
     alpha1_eg1,
     alpha1_ge1,
@@ -57,7 +59,6 @@ __all__ = [
     "ClosedFormParams",
     "ConvergenceReport",
     "CouplingSchedule",
-    "DivergencePole",
     "ExpPoly",
     "HilbertSpace",
     "LaplacePoleError",

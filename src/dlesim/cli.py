@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closedform2q import SPACE, ClosedFormParams, ResonanceError, closedform_state
-from .engine import run_to_order
+from .engine import PerturbativeSolution, run_to_order
 from .hilbert import qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
 from .propagator import propagate, sample_times
@@ -70,16 +70,30 @@ def _check_types(config: "RunConfig") -> None:
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def response_bound(n_qubits: int, n_max: int, order: int) -> int:
+    """Upper bound on the elements of an engine response's ``coeffs``, (U R, R).
+
+    Over R = dim/2 reachable states, every (power, rate) term is
+    tau^k exp(-iE tau) with k <= order and E one of L distinct bare
+    energies: the (photons, excitations) pairs of even sum.  So U <= (order+1) L.
+    """
+    reachable = 2**n_qubits * (n_max + 1) // 2
+    levels = ((n_max + 1) * (n_qubits + 1) + 1) // 2
+    return (order + 1) * levels * reachable**2
+
+
 def _check_size(config: "RunConfig") -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
     With dim = 2^N (n_max+1), R = dim/2 reachable states (a bound at n_max = 0)
     and J = order, the candidates are the dim x dim Hamiltonian, the exact
     periods x dim and engine periods x (J+1)R period starts, the engine's
-    (J+1)R x (J+1)R on map and the samples x dim amplitudes.
+    (J+1)R x (J+1)R on map, its response coefficients (``response_bound``)
+    and the samples x dim amplitudes.
     """
     n_max = min(config.resolved_n_max("exact"), 1 << 32)  # the largest default
-    dim = 2 ** min(config.n_qubits, 64) * (n_max + 1)  # caps keep the ints small
+    n_qubits = min(config.n_qubits, 64)  # the caps keep the ints small
+    dim = 2**n_qubits * (n_max + 1)
     stacked = (config.order + 1) * dim // 2
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow
@@ -90,6 +104,7 @@ def _check_size(config: "RunConfig") -> None:
         (periods * dim, f"t_final_ns and {switch}"),
         (periods * stacked, f"t_final_ns, {switch} and order"),
         (stacked * stacked, "n_qubits, n_max and order"),
+        (response_bound(n_qubits, n_max, config.order), "n_qubits, n_max and order"),
         (samples * dim, "t_final_ns and sample_dt_ns"),
     ):
         if elements > MAX_ARRAY_ELEMENTS:
@@ -249,10 +264,7 @@ def cmd_exact(config: RunConfig, out_path: str) -> int:
 
 def cmd_perturb(config: RunConfig, out_path: str) -> int:
     """Perturbative pipeline; columns t_ns, p_excite, norm_truncated."""
-    params = config.system_params("perturb")
-    solution = run_to_order(
-        params, config.coupling_schedule(), config.order, config.t_final_ns
-    )
+    solution = build_engine(config, "perturb")
     times = sample_times(config.t_final_ns, config.sample_dt_ns)
     amps = solution.amplitudes_at(times)
     p_exc = qubit_excitation(amps, solution.space, config.qubit_index)
@@ -294,22 +306,32 @@ def _closedform_column(
     return qubit_excitation(amps, SPACE, config.qubit_index), False
 
 
+def build_engine(config: RunConfig, command: str) -> PerturbativeSolution:
+    """The perturbation engine of one config, up to its order."""
+    params, schedule = config.system_params(command), config.coupling_schedule()
+    return run_to_order(params, schedule, config.order, config.t_final_ns)
+
+
 def exact_vs_pert(
-    config: RunConfig, command: str
+    config: RunConfig, command: str, engine: PerturbativeSolution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample times, exact and perturbative excitation probabilities of one run."""
+    """Sample times, exact and perturbative excitation probabilities of one run.
+
+    ``engine`` may come from another switching period: it is retimed.
+    """
     params = config.system_params(command)
     schedule = config.coupling_schedule()
     traj = propagate(params, schedule, config.t_final_ns, config.sample_dt_ns)
     p_exact = traj.excitation_probabilities(config.qubit_index)
-    solution = run_to_order(params, schedule, config.order, config.t_final_ns)
+    solution = engine.retimed(schedule, config.t_final_ns)
     p_pert = solution.excitation_probability(config.qubit_index, traj.times)
     return traj.times, p_exact, p_pert
 
 
 def cmd_compare(config: RunConfig, out_path: str) -> int:
     """Exact vs perturbative vs closed form; summary of sup and RMS differences."""
-    times, p_exact, p_pert = exact_vs_pert(config, "compare")
+    engine = build_engine(config, "compare")
+    times, p_exact, p_pert = exact_vs_pert(config, "compare", engine)
     p_cf, guard_hit = _closedform_column(config, times)
 
     diff_pert = np.abs(p_exact - p_pert)
@@ -335,9 +357,11 @@ def cmd_compare(config: RunConfig, out_path: str) -> int:
     return EXIT_GUARD if guard_hit else EXIT_OK
 
 
-def _sweep_point(point: RunConfig) -> tuple[float, float, float]:
+def _sweep_point(
+    point: RunConfig, engine: PerturbativeSolution
+) -> tuple[float, float, float]:
     """One sweep row: (ratio, sup |p_exact - p_pert|, max p_pert)."""
-    _, p_exact, p_pert = exact_vs_pert(point, "sweep")
+    _, p_exact, p_pert = exact_vs_pert(point, "sweep", engine)
     sup = float(np.abs(p_exact - p_pert).max())
     return point.switch_ratio, sup, float(p_pert.max())
 
@@ -361,7 +385,9 @@ def cmd_sweep(
     ]
     # every point is checked against the size budget before the first runs
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
-    rows = [_sweep_point(point) for point in configs]
+    # the ratio sets only the grid: one engine serves every point
+    engine = build_engine(configs[0], "sweep")
+    rows = [_sweep_point(point, engine) for point in configs]
     write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), rows)
     return EXIT_OK
 

@@ -192,6 +192,20 @@ class PerturbativeSolution:
             self.params, self.schedule, self.edges, self.tables + (table,)
         )
 
+    def retimed(
+        self, schedule: CouplingSchedule, t_final: float
+    ) -> "PerturbativeSolution":
+        """The same order tables on the grid of another period or window.
+
+        The responses depend on the energies, V and g0, not on the period.
+        """
+        if schedule.g0 != self.schedule.g0:
+            raise ValueError(
+                f"the tables were built for g0={self.schedule.g0}, got g0={schedule.g0}"
+            )
+        edges = switching_grid(schedule, t_final)
+        return PerturbativeSolution(self.params, schedule, edges, self.tables)
+
     def support(self, order: int) -> tuple[int, ...]:
         return self.tables[order].support()
 

@@ -9,6 +9,7 @@ at the switching instants.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,17 @@ class SystemParams:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
     def space(self) -> HilbertSpace:
-        return HilbertSpace(self.n_qubits, self.n_max)
+        return _space(self.n_qubits, self.n_max)
+
+
+@functools.lru_cache(maxsize=1)
+def _space(n_qubits: int, n_max: int) -> HilbertSpace:
+    """The basis of (n_qubits, n_max), reused while the size stays the same.
+
+    ``HilbertSpace`` is immutable, so sharing it is safe.  It is looked up
+    at call time, so a wrapper put on ``model.HilbertSpace`` sees each build.
+    """
+    return HilbertSpace(n_qubits, n_max)
 
 
 def bare_energies(params: SystemParams, space: HilbertSpace) -> np.ndarray:
@@ -112,12 +123,11 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
         raise ValueError(f"t_final must be > 0, got {t_final}")
     h = schedule.half_period
     n_full = int(math.floor(t_final / h + 1e-12))
-    edges = [i * h for i in range(n_full + 1)]
-    if len(edges) == 1 or edges[-1] < t_final - 1e-12 * max(1.0, t_final):
-        edges.append(t_final)
-    else:
-        edges[-1] = t_final
-    return np.array(edges)
+    edges = np.arange(n_full + 1) * h
+    if n_full == 0 or edges[-1] < t_final - 1e-12 * max(1.0, t_final):
+        return np.append(edges, t_final)
+    edges[-1] = t_final
+    return edges
 
 
 def locate(edges: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dlesim import cli
@@ -18,7 +20,10 @@ from dlesim.cli import (
     load_config,
     main,
 )
+from dlesim.engine import run_to_order
+from dlesim.exppoly import ExpPoly
 from dlesim.model import TWO_PI
+from dlesim.propagator import propagate
 
 
 def read_csv(path):
@@ -192,6 +197,11 @@ class TestSizeBudget:
             ({"t_final_ns": 1e300, "switch_freq_ghz": 1e300}, "switch_freq_ghz"),
             # the engine's on map: ((order + 1) * dim / 2)^2 = 5.9e7 elements
             ({"n_qubits": 10, "n_max": 2, "order": 4}, "order"),
+            # the engine's response coefficients: 2 * 12 * 2048^2 = 1.0e8 elements
+            (
+                {"n_qubits": 11, "n_max": 1, "order": 1, "t_final_ns": 0.1},
+                "n_qubits, n_max and order",
+            ),
         ],
     )
     def test_oversized_run_rejected(self, tmp_path, data, field):
@@ -337,6 +347,39 @@ class TestCmdSweep:
         ratios = [row[0] for row in rows]
         assert ratios == sorted(ratios)
         assert len(rows) == 3
+
+    def test_rows_equal_fresh_engine_per_ratio(self, tmp_path):
+        # the path that built one engine per point, kept as the oracle
+        out = tmp_path / "s.csv"
+        cfg = fast_config(t_final_ns=2.0, order=3)
+        assert cmd_sweep(cfg, str(out), 2.5, 20.0, 4) == EXIT_OK
+        _, rows = read_csv(out)
+        params = cfg.system_params("sweep")
+        for row in rows:
+            point = replace(cfg, switch_ratio=row[0])
+            schedule = point.coupling_schedule()
+            traj = propagate(params, schedule, point.t_final_ns, point.sample_dt_ns)
+            p_exact = traj.excitation_probabilities(point.qubit_index)
+            fresh = run_to_order(params, schedule, point.order, point.t_final_ns)
+            p_pert = fresh.excitation_probability(point.qubit_index, traj.times)
+            sup = float(np.abs(p_exact - p_pert).max())
+            assert row[1:] == [sup, float(p_pert.max())]
+
+    def test_engine_built_once(self, tmp_path, monkeypatch):
+        calls = [0]
+        original = ExpPoly.__init__
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExpPoly, "__init__", counting)
+        counts = []
+        for points in (2, 5):
+            calls[0] = 0
+            cmd_sweep(fast_config(), str(tmp_path / "s.csv"), 5.0, 20.0, points)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
 
     def test_invalid_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from dlesim.cli import response_bound
 from dlesim.engine import (
     next_order,
     pert_excitation_probability,
@@ -151,6 +152,39 @@ class TestRunToOrder:
         assert sol.dropped_couplings == (0, 0, 4)
         sol_default = run_to_order(make_params(n_max=2), make_schedule(), 2, 1.0)
         assert sol_default.dropped_couplings == (0, 0, 0)
+
+
+class TestRetimed:
+    @pytest.mark.parametrize("ratio", [2.5, 7.3, 20.0])
+    @pytest.mark.parametrize("order", range(5))
+    def test_equals_a_fresh_build(self, ratio, order):
+        params, t_final = make_params(n_max=2), 3.0
+        engine = run_to_order(params, make_schedule(11.0), order, 1.0)
+        schedule = make_schedule(ratio)
+        retimed = engine.retimed(schedule, t_final)
+        fresh = run_to_order(params, schedule, order, t_final)
+        times = np.linspace(0.0, t_final, 157)
+        assert retimed.tables is engine.tables
+        assert retimed.edges.tobytes() == fresh.edges.tobytes()
+        expected = fresh.amplitudes_at(times)
+        assert retimed.amplitudes_at(times).tobytes() == expected.tobytes()
+
+    def test_other_coupling_rejected(self):
+        engine = run_to_order(make_params(), make_schedule(), 2, 1.0)
+        with pytest.raises(ValueError, match="g0"):
+            engine.retimed(make_schedule(g0=2 * G), 1.0)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+@pytest.mark.parametrize("n_max", range(4))
+def test_response_coefficients_within_budget_bound(n_qubits, n_max):
+    params = SystemParams(
+        omega0=W0, omega_c=WC, g_eff=G, n_qubits=n_qubits, n_max=n_max
+    )
+    solution = run_to_order(params, make_schedule(), 4, 0.1)
+    for table in solution.tables:
+        size = table.response.coeffs.size
+        assert size <= response_bound(n_qubits, n_max, table.order)
 
 
 class TestInvariants:

@@ -46,6 +46,11 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(omega0=W0, omega_c=WC, g_eff=2 * WC, n_qubits=2, n_max=1)
 
+    def test_space_shared_for_equal_sizes(self):
+        other = SystemParams(omega0=WC, omega_c=W0, g_eff=0.0, n_qubits=2, n_max=1)
+        assert make_params().space() is other.space()
+        assert make_params(n_max=2).space().n_max == 2
+
     def test_state_energy(self):
         p = make_params()
         space = p.space()
@@ -230,6 +235,34 @@ class TestSwitchingGrid:
     def test_tiny_window_has_one_segment(self, t_final):
         sched = CouplingSchedule.from_switching_frequency(G, 20 * W0)
         assert list(switching_grid(sched, t_final)) == [0.0, t_final]
+
+
+def reference_grid(schedule, t_final):
+    """The edges as one list comprehension built them, i * h per edge."""
+    h = schedule.half_period
+    n_full = int(math.floor(t_final / h + 1e-12))
+    edges = [i * h for i in range(n_full + 1)]
+    if len(edges) == 1 or edges[-1] < t_final - 1e-12 * max(1.0, t_final):
+        edges.append(t_final)
+    else:
+        edges[-1] = t_final
+    return np.array(edges)
+
+
+def test_switching_grid_matches_reference_to_the_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        sched = CouplingSchedule(g0=G, t_period=2 * float(rng.uniform(1e-3, 2.0)))
+        h = sched.half_period
+        for t_final in (
+            float(rng.uniform(1e-3, 50.0)),
+            int(rng.integers(1, 400)) * h,  # an exact multiple of h
+            float(rng.uniform(0.01, 0.99)) * h,  # shorter than one segment
+        ):
+            edges = switching_grid(sched, t_final)
+            expected = reference_grid(sched, t_final)
+            assert edges.dtype == expected.dtype == np.float64
+            assert edges.tobytes() == expected.tobytes()
 
 
 class TestLocate:
