@@ -14,14 +14,16 @@ kind acts the same way wherever it sits on the grid:
   block lower-triangular structure of Van Loan (IEEE TAC 23(3), 1978).
 
 The order-m response Phi_m(tau) to a unit start vector is built once,
-over a single on segment, by exact exponential-polynomial algebra.  Each
-entry is the previous order's response multiplied by the interaction
-phase, integrated in closed form and scaled by the coupling.  Phi_0 is the
-free phase.  The start vectors of orders 0..J, stacked into one row, then
-advance period by period through ``model.period_starts``, and samples are
-evaluated in batches over Phi's (power, rate) terms.  The number of
-ExpPoly operations depends on the dimension and the order, not on the
-number of segments.
+over a single on segment.  Every entry is a sum of residues at the bare
+energies, c * tau^k * exp(-i eps_a tau), so one order is one table over
+(power, level, target, source).  Each order's table comes from the
+previous one by gathering over the nonzeros of V and integrating every
+(power, level) slice in closed form; Phi_0 is the free phase.  The start
+vectors of orders 0..J, stacked into one row, then advance period by
+period through ``model.period_starts``, and samples are evaluated in
+batches over Phi's (power, level) terms.  The build depends on the
+dimension and the order, not on the number of segments.  ``ExpPoly``
+computes the same responses entry by entry and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exppoly import RATE_MERGE_TOL, ExpPoly, linear_combination
+from .exppoly import PRUNE_REL_TOL, RATE_MERGE_TOL, ExpPoly
+from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
 from .hilbert import BasisState, qubit_excitation
 from .model import (
     CouplingSchedule,
@@ -59,39 +62,56 @@ def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-class SegmentResponse:
-    """Order-m response Phi_m(tau) over one on segment, on the reachable states.
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The reachable states and their distinct bare energies.
 
-    ``rows[i][n]`` is the ExpPoly Phi_m[i, states[n]](tau): the order-m
-    coefficient of state i after a time tau inside an on segment that
-    started with unit amplitude on ``states[n]``.  Only nonzero rows are
-    kept.  For evaluation the terms are grouped by (power, rate):
-    Phi_m(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, with
-    ``coeffs[u * R + n, i] = C_u[i, n]`` over the R reachable states.
+    ``values`` are the distinct energies of the reachable states, merged as
+    ExpPoly merges rates (``RATE_MERGE_TOL``), and ``of_state[i]`` is the
+    level of ``states[i]``.
     """
 
-    def __init__(self, rows: dict[int, tuple[ExpPoly, ...]], states: np.ndarray):
-        self.rows = rows
-        self.states = states
-        position = {int(s): i for i, s in enumerate(states)}
-        keys: list[tuple[int, complex]] = []
-        lookup: dict[tuple[int, complex], int] = {}
-        entries = []
-        for target, row in rows.items():
-            for n, poly in enumerate(row):
-                for c, k, lam in poly.terms:
-                    u = lookup.get((k, lam))
-                    if u is None:
-                        u = _merged_index(keys, k, lam)
-                        lookup[(k, lam)] = u
-                    entries.append((u, n, position[target], c))
-        n_states = len(states)
-        coeffs = np.zeros((len(keys), n_states, n_states), dtype=np.complex128)
-        for u, n, i, c in entries:
-            coeffs[u, n, i] += c
-        self.powers = np.array([k for k, _ in keys], dtype=float)
-        self.rates = np.array([lam for _, lam in keys], dtype=np.complex128)
-        self.coeffs = coeffs.reshape(len(keys) * n_states, n_states)
+    states: np.ndarray
+    energies: np.ndarray
+    values: np.ndarray
+    of_state: np.ndarray
+
+    @classmethod
+    def of(cls, states: np.ndarray, energies: np.ndarray) -> "Levels":
+        order = np.argsort(energies, kind="stable")
+        ranked = energies[order]
+        gap = RATE_MERGE_TOL * np.maximum(1.0, np.abs(ranked[:-1]))
+        opens = np.flatnonzero(np.diff(ranked) >= gap) + 1
+        of_state = np.empty(len(states), dtype=np.intp)
+        of_state[order] = np.searchsorted(opens, np.arange(len(ranked)), side="right")
+        return cls(states, energies, ranked[np.r_[0, opens]], of_state)
+
+
+class SegmentResponse:
+    """Order-m response Phi_m(tau) over one on segment, on the R reachable states.
+
+    Phi_m[i, n](tau) is the order-m coefficient of ``states[i]`` after a
+    time tau inside an on segment that started with unit amplitude on
+    ``states[n]``.  It is a residue table over (power, level):
+    Phi_m(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, where
+    ``rates[u] = -i * levels.values[term_levels[u]]`` and
+    ``coeffs[u * R + n, i] = C_u[i, n]``.  Built from a dense table
+    ``[k, a, n, i]`` over every power and level; only nonzero slices are kept.
+    """
+
+    def __init__(self, table: np.ndarray, levels: Levels):
+        n_powers, n_levels, n_states = table.shape[:3]
+        flat = table.reshape(n_powers * n_levels, n_states * n_states)
+        kept = np.flatnonzero(flat.any(axis=1))
+        self.levels = levels
+        self.term_levels = kept % n_levels
+        self.powers = (kept // n_levels).astype(float)
+        self.rates = -1j * levels.values[self.term_levels]
+        self.coeffs = flat[kept].reshape(-1, n_states)
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.levels.states
 
     @property
     def n_terms(self) -> int:
@@ -113,14 +133,25 @@ class SegmentResponse:
         n_states = len(self.states)
         return np.tensordot(basis, self.coeffs.reshape(-1, n_states, n_states), 1).T
 
+    def rows(self) -> dict[int, tuple[ExpPoly, ...]]:
+        """Phi_m as ExpPoly entries: ``rows[state][n]``, nonzero rows only.
 
-def _merged_index(keys: list[tuple[int, complex]], power: int, rate: complex) -> int:
-    """Index of (power, rate) in ``keys``, identifying rates as ExpPoly does."""
-    for u, (k, lam) in enumerate(keys):
-        if k == power and abs(rate - lam) < RATE_MERGE_TOL * max(1.0, abs(lam)):
-            return u
-    keys.append((power, rate))
-    return len(keys) - 1
+        The slices are distinct (power, rate) pairs, so each entry only
+        needs ExpPoly's term order and pruning to be canonical.
+        """
+        n_states = len(self.states)
+        order = np.lexsort((self.rates.imag, self.rates.real, self.powers))
+        table = self.coeffs.reshape(-1, n_states, n_states)[order].transpose(2, 1, 0)
+        size = np.abs(table)
+        kept = (size > 0) & (size >= PRUNE_REL_TOL * size.max(axis=2, keepdims=True))
+        keys = list(zip(self.powers[order].astype(int).tolist(), self.rates[order].tolist()))
+        entries = [[[] for _ in range(n_states)] for _ in range(n_states)]
+        for i, n, u, c in zip(*(axis.tolist() for axis in np.nonzero(kept)), table[kept].tolist()):
+            entries[i][n].append((c, *keys[u]))
+        return {
+            int(self.states[i]): tuple(ExpPoly.canonical(tuple(terms)) for terms in entries[i])
+            for i in np.flatnonzero(kept.any(axis=(1, 2))).tolist()
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,31 +170,39 @@ class OrderTable:
     def support(self) -> tuple[int, ...]:
         return self.states
 
-    @property
+    @cached_property
     def coefficients(self) -> dict[int, tuple[ExpPoly, ...]]:
         """ExpPoly rows of the order's on-segment response, by state index."""
-        return self.response.rows
+        return self.response.rows()
 
 
 class PerturbativeSolution:
     """On-segment responses for orders 0..j and the period starts they give.
 
-    Immutable once built (the period starts are computed at first use).
+    Immutable once built (the grid and the period starts are computed at
+    first use).
     """
 
     def __init__(
         self,
         params: SystemParams,
         schedule: CouplingSchedule,
-        edges: np.ndarray,
+        t_final: float,
         tables: tuple[OrderTable, ...],
     ):
+        if t_final <= 0:
+            raise ValueError(f"t_final must be > 0, got {t_final}")
         self.params = params
         self.schedule = schedule
         self.space = params.space()
-        self.edges = edges
+        self.t_final = t_final
         self.tables = tables
         self.energies = bare_energies(params, self.space)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Half-period segment edges covering [0, t_final]."""
+        return switching_grid(self.schedule, self.t_final)
 
     @property
     def order(self) -> int:
@@ -189,7 +228,7 @@ class PerturbativeSolution:
                 f"expected order {self.order + 1} table, got order {table.order}"
             )
         return PerturbativeSolution(
-            self.params, self.schedule, self.edges, self.tables + (table,)
+            self.params, self.schedule, self.t_final, self.tables + (table,)
         )
 
     def retimed(
@@ -203,8 +242,7 @@ class PerturbativeSolution:
             raise ValueError(
                 f"the tables were built for g0={self.schedule.g0}, got g0={schedule.g0}"
             )
-        edges = switching_grid(schedule, t_final)
-        return PerturbativeSolution(self.params, schedule, edges, self.tables)
+        return PerturbativeSolution(self.params, schedule, t_final, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
         return self.tables[order].support()
@@ -299,43 +337,66 @@ def zeroth_order(
         initial_index = space.ground_index()
     else:
         initial_index = space.index_of_state(initial)
-    edges = switching_grid(schedule, t_final)
     states = _reachable(space.coupling, initial_index)
-    energies = bare_energies(params, space)
-    rows = {}
-    for n, state in enumerate(states):
-        row = [ExpPoly.zero()] * len(states)
-        row[n] = ExpPoly.exponential(1.0, -1j * float(energies[state]))
-        rows[int(state)] = tuple(row)
-    table = OrderTable(0, (initial_index,), SegmentResponse(rows, states), 0)
-    return PerturbativeSolution(params, schedule, edges, (table,))
+    levels = Levels.of(states, bare_energies(params, space)[states])
+    diagonal = np.arange(len(states))
+    table = np.zeros((1, len(levels.values), len(states), len(states)), dtype=np.complex128)
+    table[0, levels.of_state, diagonal, diagonal] = 1.0
+    order0 = OrderTable(0, (initial_index,), SegmentResponse(table, levels), 0)
+    return PerturbativeSolution(params, schedule, t_final, (order0,))
 
 
 def _next_response(
-    prev: SegmentResponse, coupling: np.ndarray, energies: np.ndarray, g0: float
+    prev: SegmentResponse, coupling: np.ndarray, g0: float
 ) -> SegmentResponse:
-    """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g0 V Phi_{j-1}, Phi_j(0) = 0."""
-    rows: dict[int, tuple[ExpPoly, ...]] = {}
-    if g0 == 0.0:
-        return SegmentResponse(rows, prev.states)
-    for target in prev.states:
-        target = int(target)
-        linked = np.flatnonzero(coupling[target]).tolist()
-        sources = [(coupling[target, s], prev.rows[s]) for s in linked if s in prev.rows]
-        if not sources:
-            continue
-        energy = float(energies[target])
-        row = []
-        for n in range(len(prev.states)):
-            rhs = linear_combination([(w, polys[n]) for w, polys in sources])
-            if rhs.is_zero():
-                row.append(rhs)
-                continue
-            driven = rhs.mul_exp(1j * energy).integrate_from(0.0).scale(-1j * g0)
-            row.append(driven.mul_exp(-1j * energy))
-        if any(not poly.is_zero() for poly in row):
-            rows[target] = tuple(row)
-    return SegmentResponse(rows, prev.states)
+    """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g0 V Phi_{j-1}, Phi_j(0) = 0.
+
+    A drive term d tau^k exp(-i eps_a tau) on target i, whose own level is
+    b, integrates in closed form.  With mu = i (E_i - eps_a):
+
+    * a == b: tau^k -> tau^(k+1) / (k+1), the secular term;
+    * a != b: tau^(k-m) exp(-i eps_a tau) gets (-1)^m k!/(k-m)! / mu^(m+1) d
+      for m = 0..k, and the constant that makes Phi_j(0) = 0 goes to
+      (power 0, level b).
+    """
+    levels = prev.levels
+    n_states = len(levels.states)
+    n_powers = int(prev.powers.max(initial=-1)) + 1
+    table = np.zeros(
+        (n_powers + 1, len(levels.values), n_states, n_states), dtype=np.complex128
+    )
+    # B = V Phi_{j-1}, gathered over the nonzeros of each row of V
+    local = coupling[np.ix_(levels.states, levels.states)]
+    linked = np.argsort(local == 0, axis=1, kind="stable")[:, : (local != 0).sum(1).max()]
+    weights = np.take_along_axis(local, linked, axis=1)
+    slices = prev.coeffs.reshape(-1, n_states, n_states)
+    drive, gathered = np.zeros_like(slices), np.empty_like(slices)
+    for p in range(linked.shape[1]):
+        np.take(slices, linked[:, p], axis=2, out=gathered)
+        gathered *= weights[:, p]
+        drive += gathered
+    del gathered  # one slice set less at the peak, while the table fills
+    # 1/mu per (level, target), 0 where the target sits on that level
+    same = levels.of_state == np.arange(len(levels.values))[:, None]
+    gaps = np.where(same, 1.0, 1j * (levels.energies - levels.values[:, None]))
+    inverse = np.where(same, 0.0, 1.0 / gaps)
+    constant = np.zeros((n_states, n_states), dtype=np.complex128)
+    for k in range(n_powers):
+        # the drive slices d tau^k exp(-i eps_a tau), one per level a; the
+        # slices are sorted by power, so they are one contiguous run
+        lo, hi = np.searchsorted(prev.powers, (k, k + 1))
+        a, d = prev.term_levels[lo:hi], drive[lo:hi]
+        table[k + 1, a] = d * (same[a, None] / (k + 1))
+        term = d * inverse[a, None]
+        table[k, a] += term
+        for m in range(1, k + 1):
+            term *= -(k - m + 1) * inverse[a, None]
+            table[k - m, a] += term
+        constant -= term.sum(axis=0)
+    diagonal = np.arange(n_states)
+    table[0, levels.of_state, :, diagonal] += constant.T
+    table *= -1j * g0
+    return SegmentResponse(table, levels)
 
 
 def next_order(prev: PerturbativeSolution) -> OrderTable:
@@ -356,7 +417,7 @@ def next_order(prev: PerturbativeSolution) -> OrderTable:
     if g0 != 0.0:
         coupled = space.coupling[:, prev_support].any(axis=1)
         support = tuple(np.flatnonzero(coupled).tolist())
-    response = _next_response(prev.tables[-1].response, space.coupling, prev.energies, g0)
+    response = _next_response(prev.tables[-1].response, space.coupling, g0)
     return OrderTable(prev.order + 1, support, response, dropped)
 
 

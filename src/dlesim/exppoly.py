@@ -40,6 +40,18 @@ class ExpPoly:
         return _ZERO
 
     @classmethod
+    def canonical(cls, terms: tuple[tuple[complex, int, complex], ...]) -> "ExpPoly":
+        """Wrap terms already in canonical form, skipping the merge pass.
+
+        The caller guarantees distinct (power, rate) pairs, nonzero
+        coefficients that pruning would keep, and the canonical order:
+        power, then rate.
+        """
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def constant(cls, c: complex) -> "ExpPoly":
         return cls(((complex(c), 0, 0j),))
 
@@ -195,5 +207,4 @@ def _canonicalize(
     return tuple(kept)
 
 
-_ZERO = ExpPoly.__new__(ExpPoly)
-object.__setattr__(_ZERO, "terms", ())
+_ZERO = ExpPoly.canonical(())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlesim import cli
+from dlesim import cli, engine
 from dlesim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -21,7 +21,6 @@ from dlesim.cli import (
     main,
 )
 from dlesim.engine import run_to_order
-from dlesim.exppoly import ExpPoly
 from dlesim.model import TWO_PI
 from dlesim.propagator import propagate
 
@@ -367,13 +366,13 @@ class TestCmdSweep:
 
     def test_engine_built_once(self, tmp_path, monkeypatch):
         calls = [0]
-        original = ExpPoly.__init__
+        original = engine._next_response
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls[0] += 1
-            original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(ExpPoly, "__init__", counting)
+        monkeypatch.setattr(engine, "_next_response", counting)
         counts = []
         for points in (2, 5):
             calls[0] = 0

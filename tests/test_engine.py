@@ -1,8 +1,10 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
+from dlesim import engine
 from dlesim.cli import response_bound
 from dlesim.engine import (
     next_order,
@@ -16,6 +18,7 @@ from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
     SystemParams,
+    bare_energies,
     switching_grid,
 )
 from dlesim.propagator import propagate
@@ -462,7 +465,24 @@ class TestBatchedEvaluation:
             sol.amplitudes_at(np.array([np.nan]))
 
 
-def test_exppoly_constructions_do_not_grow_with_window(monkeypatch):
+def test_response_builds_do_not_grow_with_window(monkeypatch):
+    calls = [0]
+    original = engine._next_response
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_next_response", counting)
+    counts = []
+    for t_final in (5.0, 10.0):
+        calls[0] = 0
+        run_to_order(make_params(n_max=2), make_schedule(), 4, t_final)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_engine_build_constructs_no_exppoly(monkeypatch):
     calls = [0]
     original = ExpPoly.__init__
 
@@ -471,9 +491,138 @@ def test_exppoly_constructions_do_not_grow_with_window(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(ExpPoly, "__init__", counting)
-    counts = []
-    for t_final in (5.0, 10.0):
-        calls[0] = 0
-        run_to_order(make_params(n_max=2), make_schedule(), 4, t_final)
-        counts.append(calls[0])
-    assert counts[0] == counts[1] > 0
+    solution = run_to_order(make_params(n_max=4), make_schedule(), 4, 2.0)
+    solution.amplitudes_at(np.linspace(0.0, 2.0, 101))
+    assert calls[0] == 0
+
+
+def exppoly_response_oracle(space, energies, states, g0, j_max):
+    """Phi_0..Phi_j_max by ExpPoly algebra, one entry at a time.
+
+    ``responses[j][state][n]`` is the ExpPoly Phi_j[state, states[n]](tau);
+    rows that vanish are left out.  Each entry is the previous order's
+    drive, times the interaction phase, integrated from 0 and scaled.
+    """
+    adjacency = adjacency_of(space)
+    n_states = len(states)
+    rows = {
+        int(state): tuple(
+            ExpPoly.exponential(1.0, -1j * float(energies[state])) if m == n else ExpPoly.zero()
+            for m in range(n_states)
+        )
+        for n, state in enumerate(states)
+    }
+    responses = [rows]
+    for _ in range(j_max):
+        prev, rows = responses[-1], {}
+        for target in states.tolist():
+            sources = [(w, prev[s]) for s, w in adjacency[target] if s in prev]
+            if not sources:
+                continue
+            energy = float(energies[target])
+            row = []
+            for n in range(n_states):
+                rhs = linear_combination([(w, polys[n]) for w, polys in sources])
+                driven = rhs.mul_exp(1j * energy).integrate_from(0.0).scale(-1j * g0)
+                row.append(driven.mul_exp(-1j * energy))
+            if any(not poly.is_zero() for poly in row):
+                rows[target] = tuple(row)
+        responses.append(rows)
+    return responses
+
+
+def oracle_matrices(rows, states, taus):
+    """The ExpPoly rows of one order as matrices over the states, (len(taus), R, R)."""
+    out = np.zeros((len(taus), len(states), len(states)), dtype=np.complex128)
+    for i, state in enumerate(states.tolist()):
+        for n, poly in enumerate(rows.get(state, ())):
+            if poly.terms:
+                c, k, lam = (np.array(column) for column in zip(*poly.terms))
+                out[:, i, n] = (c * taus[:, None] ** k * np.exp(lam * taus[:, None])).sum(1)
+    return out
+
+
+def coefficient_scale(response, h):
+    """Per entry, sum_u |C_u| h^k_u: the size of the residue terms over [0, h].
+
+    The residue form sums terms of about 1/(|E_i - eps_a| h)^j times the
+    entry's value, so both it and any other evaluation lose digits in
+    proportion to this size, not to the value.
+    """
+    n_states = len(response.states)
+    sizes = np.abs(response.coeffs.reshape(-1, n_states, n_states))
+    return np.tensordot(h**response.powers, sizes, 1).T
+
+
+# (omega0, omega_c): the paper's point, merged levels with secular terms
+# at every order, and omega0 = 2 omega_c (secular from order 2)
+RESPONSE_POINTS = {"paper": (W0, WC), "omega0=omega_c": (W0, W0), "omega0=2omega_c": (2 * WC, WC)}
+RESPONSE_TOL = 1e-13
+
+
+def response_cases(point, n_qubits):
+    """Order-4 engines for n_max 0..3, each with its half periods at ratios 2.5, 20."""
+    omega0, omega_c = RESPONSE_POINTS[point]
+    for n_max in range(4):
+        params = SystemParams(omega0, omega_c, G, n_qubits, n_max)
+        solution = run_to_order(params, make_schedule(), 4, 1.0)
+        yield solution, [np.pi / (ratio * omega0) for ratio in (2.5, 20.0)]
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 5))
+@pytest.mark.parametrize("point", sorted(RESPONSE_POINTS))
+def test_response_matches_exppoly_oracle(point, n_qubits):
+    for solution, half_periods in response_cases(point, n_qubits):
+        states = solution.states
+        energies = bare_energies(solution.params, solution.space)
+        oracle = exppoly_response_oracle(solution.space, energies, states, G, 4)
+        for h, (j, table) in itertools.product(half_periods, enumerate(solution.tables)):
+            taus = np.linspace(0.0, h, 7)
+            scale = coefficient_scale(table.response, h)
+            for tau, want in zip(taus, oracle_matrices(oracle[j], states, taus)):
+                got = table.response.matrix(tau)
+                assert np.all(np.abs(got - want) <= RESPONSE_TOL * scale), (j, tau)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 5))
+@pytest.mark.parametrize("point", sorted(RESPONSE_POINTS))
+def test_response_matches_van_loan_expm(point, n_qubits):
+    # x_j' = -iE x_j - i g0 V x_{j-1} is one block-bidiagonal generator; its
+    # exponential's first block column holds Phi_0..Phi_4 (Van Loan 1978).
+    # A coupling of 1/h there keeps every block O(1); Phi_j scales as g0^j.
+    linalg = pytest.importorskip("scipy.linalg")
+    for solution, half_periods in response_cases(point, n_qubits):
+        states = solution.states
+        n_states, n_orders = len(states), len(solution.tables)
+        for h in half_periods:
+            coupling = 1.0 / h
+            free = np.diag(-1j * solution.energies[states])
+            drive = -1j * coupling * solution.space.coupling[np.ix_(states, states)]
+            generator = np.zeros((n_orders * n_states,) * 2, dtype=np.complex128)
+            for j in range(n_orders):
+                block = slice(j * n_states, (j + 1) * n_states)
+                generator[block, block] = free
+                if j:
+                    generator[block, (j - 1) * n_states : j * n_states] = drive
+            for tau in np.linspace(0.0, h, 7):
+                flow = linalg.expm(generator * tau)
+                for j, table in enumerate(solution.tables):
+                    factor = (G / coupling) ** j
+                    want = factor * flow[j * n_states : (j + 1) * n_states, :n_states]
+                    scale = coefficient_scale(table.response, h)
+                    bound = RESPONSE_TOL * (scale + factor * max(1.0, np.abs(flow).max()))
+                    got = table.response.matrix(tau)
+                    assert np.all(np.abs(got - want) <= bound), (j, tau)
+
+
+def test_exppoly_rows_are_canonical():
+    solution = run_to_order(make_params(n_max=4), make_schedule(), 4, 1.0)
+    taus = np.linspace(0.0, solution.schedule.half_period, 5)
+    for table in solution.tables:
+        rows = table.coefficients
+        assert set(rows) <= set(solution.states.tolist())
+        for row in rows.values():
+            assert all(ExpPoly(poly.terms) == poly for poly in row)
+        want = np.stack([table.response.matrix(tau) for tau in taus])
+        got = oracle_matrices(rows, solution.states, taus)
+        assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())

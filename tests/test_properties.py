@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlesim import cli
+from dlesim.closedform2q import _nearest_pole
 from dlesim.engine import run_to_order
 from dlesim.hilbert import HilbertSpace, qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
@@ -136,3 +137,37 @@ def test_cli_csv_byte_identical_across_runs(config, g_fraction):
                 assert code in (cli.EXIT_OK, cli.EXIT_GUARD)
                 runs.append((code, out.read_bytes()))
             assert runs[0] == runs[1]
+
+
+def _near_a_pole(omega0, omega_c, switching):
+    """Within 5% of a pole primary/(2m+1) of the closed-form families."""
+    for primary in (2 * omega0, omega0 + omega_c, abs(omega0 - omega_c)):
+        pole, _ = _nearest_pole(switching, primary)
+        if pole is not None and abs(switching - pole) < 0.05 * pole:
+            return True
+    return False
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    omega0=frequencies,
+    omega_c=frequencies,
+    ratio=st.floats(min_value=2.0, max_value=30.0),
+    n_max=st.integers(min_value=1, max_value=2),
+    t_final=st.floats(min_value=0.2, max_value=2.0),
+    order=st.integers(min_value=1, max_value=2),
+)
+def test_truncation_gap_scales_as_next_order(omega0, omega_c, ratio, n_max, t_final, order):
+    # away from the poles the first omitted order dominates the gap, so
+    # log max|psi_exact - psi_J| against log g has slope J + 1
+    assume(not _near_a_pole(omega0, omega_c, ratio * omega0))
+    couplings = np.array([1e-3, 2e-3, 4e-3]) * min(omega0, omega_c)
+    gaps = []
+    for g in couplings:
+        params = SystemParams(omega0=omega0, omega_c=omega_c, g_eff=g, n_qubits=2, n_max=n_max)
+        schedule = CouplingSchedule.from_switching_frequency(g, ratio * omega0)
+        traj = propagate(params, schedule, t_final, t_final / 40)
+        amps = run_to_order(params, schedule, order, t_final).amplitudes_at(traj.times)
+        gaps.append(np.linalg.norm(traj.amplitudes - amps, axis=1).max())
+    slope = np.polyfit(np.log(couplings), np.log(gaps), 1)[0]
+    assert abs(slope - (order + 1)) <= 0.02
