@@ -51,6 +51,8 @@ _OPTIONAL_FIELDS = frozenset({"switch_ratio", "switch_freq_ghz", "n_max"})
 
 # Complex numbers in the largest array one run may allocate: 512 MiB.
 MAX_ARRAY_ELEMENTS = 1 << 25
+# Points of one sweep, each a config of about 200 B built before the first runs.
+MAX_SWEEP_POINTS = 1 << 16
 
 
 def _check_types(config: "RunConfig") -> None:
@@ -70,31 +72,41 @@ def _check_types(config: "RunConfig") -> None:
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:
+    """Upper bounds (R, L) on the engine's reachable states and distinct levels.
+
+    The coupling flips one qubit and moves one photon, so the states reachable
+    from the ground state are the R = dim/2 with an even number of photons
+    plus excitations, and their L distinct bare energies are the
+    (photons, excitations) pairs of even sum.  R is exact for n_max >= 1;
+    L too, unless two pairs share an energy (as at omega0 = omega_c).
+    """
+    return 2**n_qubits * (n_max + 1) // 2, ((n_max + 1) * (n_qubits + 1) + 1) // 2
+
+
 def response_bound(n_qubits: int, n_max: int, order: int) -> int:
     """Upper bound on the elements of an engine response's ``coeffs``, (U R, R).
 
-    Over R = dim/2 reachable states, every (power, rate) term is
-    tau^k exp(-iE tau) with k <= order and E one of L distinct bare
-    energies: the (photons, excitations) pairs of even sum.  So U <= (order+1) L.
+    Every (power, rate) term is tau^k exp(-iE tau) with k <= order and E one
+    of the L levels, so U <= (order+1) L.
     """
-    reachable = 2**n_qubits * (n_max + 1) // 2
-    levels = ((n_max + 1) * (n_qubits + 1) + 1) // 2
+    reachable, levels = reachable_bound(n_qubits, n_max)
     return (order + 1) * levels * reachable**2
 
 
 def _check_size(config: "RunConfig") -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    With dim = 2^N (n_max+1), R = dim/2 reachable states (a bound at n_max = 0)
-    and J = order, the candidates are the dim x dim Hamiltonian, the exact
+    With dim = 2^N (n_max+1), R reachable states (``reachable_bound``) and
+    J = order, the candidates are the dim x dim Hamiltonian, the exact
     periods x dim and engine periods x (J+1)R period starts, the engine's
     (J+1)R x (J+1)R on map, its response coefficients (``response_bound``)
     and the samples x dim amplitudes.
     """
-    n_max = min(config.resolved_n_max("exact"), 1 << 32)  # the largest default
-    n_qubits = min(config.n_qubits, 64)  # the caps keep the ints small
+    n_max = min(config.resolved_n_max(), 1 << 32)  # the caps keep the ints small
+    n_qubits = min(config.n_qubits, 64)
     dim = 2**n_qubits * (n_max + 1)
-    stacked = (config.order + 1) * dim // 2
+    stacked = (config.order + 1) * reachable_bound(n_qubits, n_max)[0]
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow
     samples = config.t_final_ns / config.sample_dt_ns + 1
@@ -166,6 +178,13 @@ class RunConfig:
                 f"qubit_index must be in [0, {self.n_qubits - 1}], "
                 f"got {self.qubit_index}"
             )
+        varpi = self.switching_frequency
+        if not varpi or math.isinf(TWO_PI / varpi):
+            cause = "switch_freq_ghz" if self.switch_freq_ghz else "switch_ratio and omega0_ghz"
+            raise ConfigError(
+                f"{cause}: the switching frequency {varpi!r} rad/ns "
+                "gives a period 2*pi/varpi that is not finite"
+            )
         _check_size(self)
 
     @property
@@ -187,21 +206,17 @@ class RunConfig:
         ratio = self.switch_ratio if self.switch_ratio is not None else 20.0
         return ratio * self.omega0
 
-    def resolved_n_max(self, command: str) -> int:
-        """Photon cutoff: explicit config value, or engine/propagator defaults."""
-        if self.n_max is not None:
-            return self.n_max
-        if command == "perturb":
-            return self.order
-        return max(2, self.order)
+    def resolved_n_max(self) -> int:
+        """Photon cutoff: the config value, or max(2, order) for every command."""
+        return max(2, self.order) if self.n_max is None else self.n_max
 
-    def system_params(self, command: str) -> SystemParams:
+    def system_params(self) -> SystemParams:
         return SystemParams(
             omega0=self.omega0,
             omega_c=self.omega_c,
             g_eff=self.g_eff,
             n_qubits=self.n_qubits,
-            n_max=self.resolved_n_max(command),
+            n_max=self.resolved_n_max(),
         )
 
     def coupling_schedule(self) -> CouplingSchedule:
@@ -220,7 +235,8 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # bad UTF-8, bad syntax and over-long integers are ValueErrors
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a flat JSON object")
@@ -250,7 +266,7 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 
 def cmd_exact(config: RunConfig, out_path: str) -> int:
     """Exact propagation; columns t_ns, p_excite, photon_exp, norm."""
-    params = config.system_params("exact")
+    params = config.system_params()
     traj = propagate(
         params, config.coupling_schedule(), config.t_final_ns, config.sample_dt_ns
     )
@@ -264,7 +280,7 @@ def cmd_exact(config: RunConfig, out_path: str) -> int:
 
 def cmd_perturb(config: RunConfig, out_path: str) -> int:
     """Perturbative pipeline; columns t_ns, p_excite, norm_truncated."""
-    solution = build_engine(config, "perturb")
+    solution = build_engine(config)
     times = sample_times(config.t_final_ns, config.sample_dt_ns)
     amps = solution.amplitudes_at(times)
     p_exc = qubit_excitation(amps, solution.space, config.qubit_index)
@@ -280,7 +296,7 @@ def _closedform_column(
     """Closed-form probabilities when the oracle applies, else (None, guard_hit)."""
     eligible = (
         config.n_qubits == 2
-        and config.resolved_n_max("compare") >= 1
+        and config.resolved_n_max() >= 1
         and config.order >= 2
     )
     if not eligible:
@@ -306,20 +322,20 @@ def _closedform_column(
     return qubit_excitation(amps, SPACE, config.qubit_index), False
 
 
-def build_engine(config: RunConfig, command: str) -> PerturbativeSolution:
+def build_engine(config: RunConfig) -> PerturbativeSolution:
     """The perturbation engine of one config, up to its order."""
-    params, schedule = config.system_params(command), config.coupling_schedule()
+    params, schedule = config.system_params(), config.coupling_schedule()
     return run_to_order(params, schedule, config.order, config.t_final_ns)
 
 
 def exact_vs_pert(
-    config: RunConfig, command: str, engine: PerturbativeSolution
+    config: RunConfig, engine: PerturbativeSolution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample times, exact and perturbative excitation probabilities of one run.
 
     ``engine`` may come from another switching period: it is retimed.
     """
-    params = config.system_params(command)
+    params = config.system_params()
     schedule = config.coupling_schedule()
     traj = propagate(params, schedule, config.t_final_ns, config.sample_dt_ns)
     p_exact = traj.excitation_probabilities(config.qubit_index)
@@ -330,8 +346,8 @@ def exact_vs_pert(
 
 def cmd_compare(config: RunConfig, out_path: str) -> int:
     """Exact vs perturbative vs closed form; summary of sup and RMS differences."""
-    engine = build_engine(config, "compare")
-    times, p_exact, p_pert = exact_vs_pert(config, "compare", engine)
+    engine = build_engine(config)
+    times, p_exact, p_pert = exact_vs_pert(config, engine)
     p_cf, guard_hit = _closedform_column(config, times)
 
     diff_pert = np.abs(p_exact - p_pert)
@@ -361,7 +377,7 @@ def _sweep_point(
     point: RunConfig, engine: PerturbativeSolution
 ) -> tuple[float, float, float]:
     """One sweep row: (ratio, sup |p_exact - p_pert|, max p_pert)."""
-    _, p_exact, p_pert = exact_vs_pert(point, "sweep", engine)
+    _, p_exact, p_pert = exact_vs_pert(point, engine)
     sup = float(np.abs(p_exact - p_pert).max())
     return point.switch_ratio, sup, float(p_pert.max())
 
@@ -378,15 +394,15 @@ def cmd_sweep(
         raise ConfigError(
             f"need 0 < ratio_min < ratio_max, got {ratio_min}, {ratio_max}"
         )
-    if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"points must be in [2, {MAX_SWEEP_POINTS}], got {points}")
     ratios = [
         ratio_min + (ratio_max - ratio_min) * i / (points - 1) for i in range(points)
     ]
     # every point is checked against the size budget before the first runs
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
     # the ratio sets only the grid: one engine serves every point
-    engine = build_engine(configs[0], "sweep")
+    engine = build_engine(configs[0])
     rows = [_sweep_point(point, engine) for point in configs]
     write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), rows)
     return EXIT_OK

@@ -64,54 +64,81 @@ def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Levels:
-    """The reachable states and their distinct bare energies.
+    """The subsystem reachable from the initial state, shared by every order.
 
-    ``values`` are the distinct energies of the reachable states, merged as
-    ExpPoly merges rates (``RATE_MERGE_TOL``), and ``of_state[i]`` is the
-    level of ``states[i]``.
+    ``states`` are the reachable states and ``energies`` their bare energies.
+    ``values`` are the distinct energies, merged as ExpPoly merges rates
+    (``RATE_MERGE_TOL``), and ``of_state[i]`` is the level of ``states[i]``.
+    Row i of V among the states has its nonzeros in the columns
+    ``linked[i]``, with ``weights[i]`` (zero-padded to the longest row).
+    ``inverse[a, i]`` is 1/mu with mu = i (E_i - eps_a), and 0 where
+    ``same[a, i]``: state i sits on level a.
     """
 
     states: np.ndarray
     energies: np.ndarray
     values: np.ndarray
     of_state: np.ndarray
+    linked: np.ndarray
+    weights: np.ndarray
+    same: np.ndarray
+    inverse: np.ndarray
 
     @classmethod
-    def of(cls, states: np.ndarray, energies: np.ndarray) -> "Levels":
+    def of(cls, coupling: np.ndarray, energies: np.ndarray, start: int) -> "Levels":
+        """The subsystem reachable from basis state ``start``; both arrays span the basis."""
+        states = _reachable(coupling, start)
+        energies = energies[states]
         order = np.argsort(energies, kind="stable")
         ranked = energies[order]
         gap = RATE_MERGE_TOL * np.maximum(1.0, np.abs(ranked[:-1]))
         opens = np.flatnonzero(np.diff(ranked) >= gap) + 1
+        values = ranked[np.r_[0, opens]]
         of_state = np.empty(len(states), dtype=np.intp)
         of_state[order] = np.searchsorted(opens, np.arange(len(ranked)), side="right")
-        return cls(states, energies, ranked[np.r_[0, opens]], of_state)
+        local = coupling[np.ix_(states, states)]
+        linked = np.argsort(local == 0, axis=1, kind="stable")[:, : (local != 0).sum(1).max()]
+        weights = np.take_along_axis(local, linked, axis=1)
+        same = of_state == np.arange(len(values))[:, None]
+        inverse = np.where(same, 0.0, 1.0 / np.where(same, 1.0, 1j * (energies - values[:, None])))
+        return cls(states, energies, values, of_state, linked, weights, same, inverse)
 
 
-class SegmentResponse:
-    """Order-m response Phi_m(tau) over one on segment, on the R reachable states.
+class OrderTable:
+    """One perturbative order: its support and its on-segment response Phi_order.
 
-    Phi_m[i, n](tau) is the order-m coefficient of ``states[i]`` after a
-    time tau inside an on segment that started with unit amplitude on
-    ``states[n]``.  It is a residue table over (power, level):
-    Phi_m(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, where
+    ``support`` holds the sorted indices of the states this order can reach,
+    and ``dropped_couplings`` counts the photon-raising couplings past the
+    cutoff that it dropped.  Phi_order[i, n](tau) is the order's coefficient
+    of ``levels.states[i]`` after a time tau inside an on segment that
+    started with unit amplitude on ``levels.states[n]``; this order and
+    every later one apply it to the start vectors of lower orders.  It is a
+    residue table over (power, level):
+    Phi_order(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, where
     ``rates[u] = -i * levels.values[term_levels[u]]`` and
     ``coeffs[u * R + n, i] = C_u[i, n]``.  Built from a dense table
     ``[k, a, n, i]`` over every power and level; only nonzero slices are kept.
     """
 
-    def __init__(self, table: np.ndarray, levels: Levels):
+    def __init__(
+        self,
+        order: int,
+        support: tuple[int, ...],
+        table: np.ndarray,
+        levels: Levels,
+        dropped_couplings: int = 0,
+    ):
         n_powers, n_levels, n_states = table.shape[:3]
         flat = table.reshape(n_powers * n_levels, n_states * n_states)
         kept = np.flatnonzero(flat.any(axis=1))
+        self.order = order
+        self.support = support
+        self.dropped_couplings = dropped_couplings
         self.levels = levels
         self.term_levels = kept % n_levels
         self.powers = (kept // n_levels).astype(float)
         self.rates = -1j * levels.values[self.term_levels]
         self.coeffs = flat[kept].reshape(-1, n_states)
-
-    @property
-    def states(self) -> np.ndarray:
-        return self.levels.states
 
     @property
     def n_terms(self) -> int:
@@ -122,24 +149,26 @@ class SegmentResponse:
         return tau[:, None] ** self.powers * np.exp(np.outer(tau, self.rates))
 
     def apply(self, tau: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Rows Phi_m(tau[s]) @ vectors[s], shape (S, R), for start vectors (S, R)."""
+        """Rows Phi(tau[s]) @ vectors[s], shape (S, R), for start vectors (S, R)."""
         basis = self._basis(tau)
         products = basis[:, :, None] * vectors[:, None, :]
         return products.reshape(len(tau), -1) @ self.coeffs
 
     def matrix(self, tau: float) -> np.ndarray:
-        """Phi_m(tau) as an (R, R) matrix over the reachable states."""
+        """Phi(tau) as an (R, R) matrix over the reachable states."""
         basis = self._basis(np.array([float(tau)]))[0]
-        n_states = len(self.states)
+        n_states = len(self.levels.states)
         return np.tensordot(basis, self.coeffs.reshape(-1, n_states, n_states), 1).T
 
-    def rows(self) -> dict[int, tuple[ExpPoly, ...]]:
-        """Phi_m as ExpPoly entries: ``rows[state][n]``, nonzero rows only.
+    @cached_property
+    def coefficients(self) -> dict[int, tuple[ExpPoly, ...]]:
+        """Phi as ExpPoly entries: ``coefficients[state][n]``, nonzero rows only.
 
         The slices are distinct (power, rate) pairs, so each entry only
         needs ExpPoly's term order and pruning to be canonical.
         """
-        n_states = len(self.states)
+        states = self.levels.states
+        n_states = len(states)
         order = np.lexsort((self.rates.imag, self.rates.real, self.powers))
         table = self.coeffs.reshape(-1, n_states, n_states)[order].transpose(2, 1, 0)
         size = np.abs(table)
@@ -149,38 +178,16 @@ class SegmentResponse:
         for i, n, u, c in zip(*(axis.tolist() for axis in np.nonzero(kept)), table[kept].tolist()):
             entries[i][n].append((c, *keys[u]))
         return {
-            int(self.states[i]): tuple(ExpPoly.canonical(tuple(terms)) for terms in entries[i])
+            int(states[i]): tuple(ExpPoly.canonical(tuple(terms)) for terms in entries[i])
             for i in np.flatnonzero(kept.any(axis=(1, 2))).tolist()
         }
-
-
-@dataclass(frozen=True, eq=False)
-class OrderTable:
-    """One perturbative order: support and on-segment response.
-
-    ``response`` is Phi_order, which this order and every later one apply
-    to the start vectors of lower orders.
-    """
-
-    order: int
-    states: tuple[int, ...]
-    response: SegmentResponse
-    dropped_couplings: int
-
-    def support(self) -> tuple[int, ...]:
-        return self.states
-
-    @cached_property
-    def coefficients(self) -> dict[int, tuple[ExpPoly, ...]]:
-        """ExpPoly rows of the order's on-segment response, by state index."""
-        return self.response.rows()
 
 
 class PerturbativeSolution:
     """On-segment responses for orders 0..j and the period starts they give.
 
-    Immutable once built (the grid and the period starts are computed at
-    first use).
+    Every order is over the one reachable subsystem ``levels``.  Immutable
+    once built (the grid and the period starts are computed at first use).
     """
 
     def __init__(
@@ -188,6 +195,7 @@ class PerturbativeSolution:
         params: SystemParams,
         schedule: CouplingSchedule,
         t_final: float,
+        levels: Levels,
         tables: tuple[OrderTable, ...],
     ):
         if t_final <= 0:
@@ -196,8 +204,8 @@ class PerturbativeSolution:
         self.schedule = schedule
         self.space = params.space()
         self.t_final = t_final
+        self.levels = levels
         self.tables = tables
-        self.energies = bare_energies(params, self.space)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -215,7 +223,7 @@ class PerturbativeSolution:
     @property
     def states(self) -> np.ndarray:
         """Indices of the states reachable from the initial state."""
-        return self.tables[0].response.states
+        return self.levels.states
 
     @property
     def dropped_couplings(self) -> tuple[int, ...]:
@@ -228,7 +236,7 @@ class PerturbativeSolution:
                 f"expected order {self.order + 1} table, got order {table.order}"
             )
         return PerturbativeSolution(
-            self.params, self.schedule, self.t_final, self.tables + (table,)
+            self.params, self.schedule, self.t_final, self.levels, self.tables + (table,)
         )
 
     def retimed(
@@ -242,10 +250,10 @@ class PerturbativeSolution:
             raise ValueError(
                 f"the tables were built for g0={self.schedule.g0}, got g0={schedule.g0}"
             )
-        return PerturbativeSolution(self.params, schedule, t_final, self.tables)
+        return PerturbativeSolution(self.params, schedule, t_final, self.levels, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
-        return self.tables[order].support()
+        return self.tables[order].support
 
     @cached_property
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -256,12 +264,12 @@ class PerturbativeSolution:
         """
         states = self.states
         h = self.schedule.half_period
-        blocks = [table.response.matrix(h).T for table in self.tables]
+        blocks = [table.matrix(h).T for table in self.tables]
         zero = np.zeros_like(blocks[0])
         orders = range(len(blocks))
         layout = [[blocks[j - i] if j >= i else zero for j in orders] for i in orders]
         on_map = np.block(layout)
-        phase = np.tile(np.exp(-1j * self.energies[states] * h), len(self.tables))
+        phase = np.tile(np.exp(-1j * self.levels.energies * h), len(self.tables))
         first = np.zeros(len(on_map), dtype=np.complex128)
         first[np.searchsorted(states, self.support(0))] = 1.0
         count = (self.n_segments - 1) // 2 + 1
@@ -272,9 +280,9 @@ class PerturbativeSolution:
         segments, tau = locate(self.edges, times)
         on_map, starts = self._scan
         states = self.states
-        free_rates = -1j * self.energies[states]
+        free_rates = -1j * self.levels.energies
         out = np.zeros((len(times), self.space.dim), dtype=np.complex128)
-        widest = max((t.response.n_terms for t in self.tables[1 : hi + 1]), default=0)
+        widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
         batch = max(1, _BATCH_ELEMENTS // max(1, widest * len(states)))
         for first in range(0, len(times), batch):
             part = slice(first, first + batch)
@@ -286,10 +294,10 @@ class PerturbativeSolution:
             block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
             if on.any():
                 for m in range(1, hi + 1):
-                    response = self.tables[m].response
-                    if response.n_terms:
+                    table = self.tables[m]
+                    if table.n_terms:
                         vectors = x[on, max(lo - m, 0) : hi - m + 1].sum(axis=1)
-                        block[on] += response.apply(t[on], vectors)
+                        block[on] += table.apply(t[on], vectors)
             out[part, states] = block
         return out
 
@@ -333,22 +341,17 @@ def zeroth_order(
     The order-0 response is that free phase on every reachable state.
     """
     space = params.space()
-    if initial is None:
-        initial_index = space.ground_index()
-    else:
-        initial_index = space.index_of_state(initial)
-    states = _reachable(space.coupling, initial_index)
-    levels = Levels.of(states, bare_energies(params, space)[states])
-    diagonal = np.arange(len(states))
-    table = np.zeros((1, len(levels.values), len(states), len(states)), dtype=np.complex128)
+    initial_index = space.ground_index() if initial is None else space.index_of_state(initial)
+    levels = Levels.of(space.coupling, bare_energies(params, space), initial_index)
+    n_states = len(levels.states)
+    diagonal = np.arange(n_states)
+    table = np.zeros((1, len(levels.values), n_states, n_states), dtype=np.complex128)
     table[0, levels.of_state, diagonal, diagonal] = 1.0
-    order0 = OrderTable(0, (initial_index,), SegmentResponse(table, levels), 0)
-    return PerturbativeSolution(params, schedule, t_final, (order0,))
+    order0 = OrderTable(0, (initial_index,), table, levels)
+    return PerturbativeSolution(params, schedule, t_final, levels, (order0,))
 
 
-def _next_response(
-    prev: SegmentResponse, coupling: np.ndarray, g0: float
-) -> SegmentResponse:
+def _next_response(prev: OrderTable, g0: float) -> np.ndarray:
     """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g0 V Phi_{j-1}, Phi_j(0) = 0.
 
     A drive term d tau^k exp(-i eps_a tau) on target i, whose own level is
@@ -358,6 +361,8 @@ def _next_response(
     * a != b: tau^(k-m) exp(-i eps_a tau) gets (-1)^m k!/(k-m)! / mu^(m+1) d
       for m = 0..k, and the constant that makes Phi_j(0) = 0 goes to
       (power 0, level b).
+
+    Returns the dense table ``[k, a, n, i]`` of Phi_j over every power and level.
     """
     levels = prev.levels
     n_states = len(levels.states)
@@ -366,20 +371,14 @@ def _next_response(
         (n_powers + 1, len(levels.values), n_states, n_states), dtype=np.complex128
     )
     # B = V Phi_{j-1}, gathered over the nonzeros of each row of V
-    local = coupling[np.ix_(levels.states, levels.states)]
-    linked = np.argsort(local == 0, axis=1, kind="stable")[:, : (local != 0).sum(1).max()]
-    weights = np.take_along_axis(local, linked, axis=1)
     slices = prev.coeffs.reshape(-1, n_states, n_states)
     drive, gathered = np.zeros_like(slices), np.empty_like(slices)
-    for p in range(linked.shape[1]):
-        np.take(slices, linked[:, p], axis=2, out=gathered)
-        gathered *= weights[:, p]
+    for p in range(levels.linked.shape[1]):
+        np.take(slices, levels.linked[:, p], axis=2, out=gathered)
+        gathered *= levels.weights[:, p]
         drive += gathered
     del gathered  # one slice set less at the peak, while the table fills
-    # 1/mu per (level, target), 0 where the target sits on that level
-    same = levels.of_state == np.arange(len(levels.values))[:, None]
-    gaps = np.where(same, 1.0, 1j * (levels.energies - levels.values[:, None]))
-    inverse = np.where(same, 0.0, 1.0 / gaps)
+    same, inverse = levels.same, levels.inverse
     constant = np.zeros((n_states, n_states), dtype=np.complex128)
     for k in range(n_powers):
         # the drive slices d tau^k exp(-i eps_a tau), one per level a; the
@@ -396,7 +395,7 @@ def _next_response(
     diagonal = np.arange(n_states)
     table[0, levels.of_state, :, diagonal] += constant.T
     table *= -1j * g0
-    return SegmentResponse(table, levels)
+    return table
 
 
 def next_order(prev: PerturbativeSolution) -> OrderTable:
@@ -417,8 +416,8 @@ def next_order(prev: PerturbativeSolution) -> OrderTable:
     if g0 != 0.0:
         coupled = space.coupling[:, prev_support].any(axis=1)
         support = tuple(np.flatnonzero(coupled).tolist())
-    response = _next_response(prev.tables[-1].response, space.coupling, g0)
-    return OrderTable(prev.order + 1, support, response, dropped)
+    table = _next_response(prev.tables[-1], g0)
+    return OrderTable(prev.order + 1, support, table, prev.levels, dropped)
 
 
 def run_to_order(

@@ -89,8 +89,8 @@ class CouplingSchedule:
     def __post_init__(self):
         if self.g0 < 0:
             raise ValueError(f"g0 must be >= 0, got {self.g0}")
-        if self.t_period <= 0:
-            raise ValueError(f"t_period must be > 0, got {self.t_period}")
+        if not 0 < self.t_period < math.inf:
+            raise ValueError(f"t_period must be finite and > 0, got {self.t_period}")
 
     @classmethod
     def from_switching_frequency(cls, g0: float, switching_frequency: float) -> "CouplingSchedule":

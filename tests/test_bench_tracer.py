@@ -40,7 +40,7 @@ def test_traced_sweep_reports_every_layer(tmp_path):
     # run_path compiles the source without writing a bytecode cache into bench/
     layer_metrics = runpy.run_path(str(TRACER))["layer_metrics"]
     metrics = layer_metrics(json.loads(spans_path.read_text()))
-    space = RunConfig(**config).system_params("sweep").space()
+    space = RunConfig(**config).system_params().space()
     assert metrics["hilbert.dim"] == space.dim
     assert metrics["engine.evals"] == 2
     assert metrics["model.segments"] > 0

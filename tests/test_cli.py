@@ -11,6 +11,7 @@ from dlesim.cli import (
     EXIT_IO,
     EXIT_OK,
     MAX_ARRAY_ELEMENTS,
+    MAX_SWEEP_POINTS,
     ConfigError,
     RunConfig,
     cmd_compare,
@@ -35,6 +36,10 @@ def read_csv(path):
             [None if cell == "" else float(cell) for cell in line.split(",")]
         )
     return header, rows
+
+
+def never_runs(*args, **kwargs):
+    raise AssertionError("a sweep point was built or run")
 
 
 def fast_config(**kw):
@@ -68,12 +73,10 @@ class TestRunConfig:
             RunConfig(order=9)
 
     def test_nmax_resolution(self):
-        cfg = RunConfig(order=2)
-        assert cfg.resolved_n_max("perturb") == 2
-        assert cfg.resolved_n_max("exact") == 2
-        assert RunConfig(order=1).resolved_n_max("compare") == 2
-        assert RunConfig(order=1).resolved_n_max("perturb") == 1
-        assert RunConfig(order=3, n_max=4).resolved_n_max("perturb") == 4
+        # one rule for every command: max(2, order) unless n_max is given
+        assert [RunConfig(order=j).resolved_n_max() for j in range(5)] == [2, 2, 2, 3, 4]
+        assert RunConfig(order=1, n_max=0).resolved_n_max() == 0
+        assert RunConfig(order=3, n_max=4).resolved_n_max() == 4
 
 
 class TestLoadConfig:
@@ -178,6 +181,53 @@ class TestConfigProbes:
         assert code == EXIT_CONFIG
         assert "switch_ratio must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"order": 2, "note": "\xff\xfe"}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"order": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code = main(["perturb", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: config file {path} is not valid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["exact", "perturb", "compare", "sweep"])
+    @pytest.mark.parametrize(
+        "data, args, field",
+        [
+            ({}, ["--switch-ratio", "1e-320"], "switch_ratio"),
+            ({"switch_freq_ghz": 1e-320}, [], "switch_freq_ghz"),
+            ({"omega0_ghz": 1e-320, "g_eff_ghz": 0.0}, [], "omega0_ghz"),
+            ({"omega0_ghz": 1e-5, "g_eff_ghz": 0.0}, ["--switch-ratio", "5e-324"], "switch_ratio"),
+        ],
+    )
+    def test_overflowing_period_rejected(self, tmp_path, capsys, command, data, args, field):
+        # 2*pi/varpi overflows (or varpi underflows to 0): no row is computed
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(data))
+        code = main([command, "--config", str(path), "--out", str(out), *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and field in err and "period" in err
+        assert not out.exists()
+
+    def test_overflowing_sweep_period_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_point", never_runs)
+        out = tmp_path / "s.csv"
+        span = ["--ratio-min", "1e-320", "--ratio-max", "1e-310"]
+        code = main(["sweep", "--out", str(out), *span])
+        assert code == EXIT_CONFIG
+        assert "config error: switch_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSizeBudget:
     """Checked from the config alone: none of these runs is ever started."""
@@ -235,6 +285,17 @@ class TestSizeBudget:
         with pytest.raises(ConfigError, match="switch_ratio"):
             cmd_sweep(cfg, str(tmp_path / "s.csv"), 1.0, 1e9, 3)
 
+    def test_sweep_points_checked_before_any_point_is_built(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_sweep_point", never_runs)
+        monkeypatch.setattr(cli, "replace", never_runs)
+        out = tmp_path / "s.csv"
+        # one past the cap, so that a missing check fails at the first config
+        code = main(["sweep", "--out", str(out), "--points", str(MAX_SWEEP_POINTS + 1)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: points must be in [2, {MAX_SWEEP_POINTS}]" in err
+        assert not out.exists()
+
 
 class TestCmdExact:
     def test_default_run_structure(self, tmp_path):
@@ -261,7 +322,7 @@ class TestCmdExact:
         from dlesim.propagator import propagate
 
         traj = propagate(
-            cfg.system_params("exact"),
+            cfg.system_params(),
             cfg.coupling_schedule(),
             cfg.t_final_ns,
             cfg.sample_dt_ns,
@@ -353,7 +414,7 @@ class TestCmdSweep:
         cfg = fast_config(t_final_ns=2.0, order=3)
         assert cmd_sweep(cfg, str(out), 2.5, 20.0, 4) == EXIT_OK
         _, rows = read_csv(out)
-        params = cfg.system_params("sweep")
+        params = cfg.system_params()
         for row in rows:
             point = replace(cfg, switch_ratio=row[0])
             schedule = point.coupling_schedule()
@@ -379,6 +440,20 @@ class TestCmdSweep:
             cmd_sweep(fast_config(), str(tmp_path / "s.csv"), 5.0, 20.0, points)
             counts.append(calls[0])
         assert counts[0] == counts[1] > 0
+
+    def test_one_reachable_subsystem_per_sweep(self, tmp_path, monkeypatch):
+        # the engine's Levels is built once and shared by every order and
+        # by each point's retimed copy
+        calls = [0]
+        original = engine.Levels.__init__
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine.Levels, "__init__", counting)
+        cmd_sweep(fast_config(order=4), str(tmp_path / "s.csv"), 4.0, 24.0, 21)
+        assert calls[0] == 1
 
     def test_invalid_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

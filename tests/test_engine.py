@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlesim import engine
-from dlesim.cli import response_bound
+from dlesim.cli import reachable_bound, response_bound
 from dlesim.engine import (
     next_order,
     pert_excitation_probability,
@@ -76,7 +76,7 @@ class TestNextOrder:
         sol = zeroth_order(make_params(), make_schedule(), 1.0)
         table = next_order(sol)
         space = sol.space
-        assert set(table.support()) == {
+        assert set(table.support) == {
             space.index_of((0, 1), 1),
             space.index_of((1, 0), 1),
         }
@@ -167,7 +167,7 @@ class TestRetimed:
         retimed = engine.retimed(schedule, t_final)
         fresh = run_to_order(params, schedule, order, t_final)
         times = np.linspace(0.0, t_final, 157)
-        assert retimed.tables is engine.tables
+        assert retimed.tables is engine.tables and retimed.levels is engine.levels
         assert retimed.edges.tobytes() == fresh.edges.tobytes()
         expected = fresh.amplitudes_at(times)
         assert retimed.amplitudes_at(times).tobytes() == expected.tobytes()
@@ -186,8 +186,24 @@ def test_response_coefficients_within_budget_bound(n_qubits, n_max):
     )
     solution = run_to_order(params, make_schedule(), 4, 0.1)
     for table in solution.tables:
-        size = table.response.coeffs.size
+        size = table.coeffs.size
         assert size <= response_bound(n_qubits, n_max, table.order)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+@pytest.mark.parametrize("n_max", range(4))
+def test_budget_counts_match_the_engines_levels(n_qubits, n_max):
+    # the size budget's R and L are exact at the paper's frequencies for
+    # n_max >= 1, and upper bounds at n_max = 0 and at omega0 = omega_c
+    reachable, n_levels = reachable_bound(n_qubits, n_max)
+    for omega0, exact in ((W0, n_max >= 1), (WC, False)):
+        params = SystemParams(omega0, WC, G, n_qubits, n_max)
+        levels = zeroth_order(params, make_schedule(), 0.1).levels
+        counts = len(levels.states), len(levels.values)
+        if exact:
+            assert counts == (reachable, n_levels)
+        else:
+            assert counts[0] <= reachable and counts[1] <= n_levels
 
 
 class TestInvariants:
@@ -226,7 +242,7 @@ class TestInvariants:
         for j in (1, 2):
             prev_support = sol.support(j - 1)
             for idx in sol.support(j):
-                energy = float(sol.energies[idx])
+                energy = float(sol.levels.energies[np.searchsorted(sol.states, idx)])
                 for _ in range(4):
                     k = int(rng.integers(0, sol.n_segments))
                     lo, hi = float(sol.edges[k]), float(sol.edges[k + 1])
@@ -542,16 +558,16 @@ def oracle_matrices(rows, states, taus):
     return out
 
 
-def coefficient_scale(response, h):
+def coefficient_scale(table, h):
     """Per entry, sum_u |C_u| h^k_u: the size of the residue terms over [0, h].
 
     The residue form sums terms of about 1/(|E_i - eps_a| h)^j times the
     entry's value, so both it and any other evaluation lose digits in
     proportion to this size, not to the value.
     """
-    n_states = len(response.states)
-    sizes = np.abs(response.coeffs.reshape(-1, n_states, n_states))
-    return np.tensordot(h**response.powers, sizes, 1).T
+    n_states = len(table.levels.states)
+    sizes = np.abs(table.coeffs.reshape(-1, n_states, n_states))
+    return np.tensordot(h**table.powers, sizes, 1).T
 
 
 # (omega0, omega_c): the paper's point, merged levels with secular terms
@@ -578,9 +594,9 @@ def test_response_matches_exppoly_oracle(point, n_qubits):
         oracle = exppoly_response_oracle(solution.space, energies, states, G, 4)
         for h, (j, table) in itertools.product(half_periods, enumerate(solution.tables)):
             taus = np.linspace(0.0, h, 7)
-            scale = coefficient_scale(table.response, h)
+            scale = coefficient_scale(table, h)
             for tau, want in zip(taus, oracle_matrices(oracle[j], states, taus)):
-                got = table.response.matrix(tau)
+                got = table.matrix(tau)
                 assert np.all(np.abs(got - want) <= RESPONSE_TOL * scale), (j, tau)
 
 
@@ -596,7 +612,7 @@ def test_response_matches_van_loan_expm(point, n_qubits):
         n_states, n_orders = len(states), len(solution.tables)
         for h in half_periods:
             coupling = 1.0 / h
-            free = np.diag(-1j * solution.energies[states])
+            free = np.diag(-1j * solution.levels.energies)
             drive = -1j * coupling * solution.space.coupling[np.ix_(states, states)]
             generator = np.zeros((n_orders * n_states,) * 2, dtype=np.complex128)
             for j in range(n_orders):
@@ -609,9 +625,9 @@ def test_response_matches_van_loan_expm(point, n_qubits):
                 for j, table in enumerate(solution.tables):
                     factor = (G / coupling) ** j
                     want = factor * flow[j * n_states : (j + 1) * n_states, :n_states]
-                    scale = coefficient_scale(table.response, h)
+                    scale = coefficient_scale(table, h)
                     bound = RESPONSE_TOL * (scale + factor * max(1.0, np.abs(flow).max()))
-                    got = table.response.matrix(tau)
+                    got = table.matrix(tau)
                     assert np.all(np.abs(got - want) <= bound), (j, tau)
 
 
@@ -623,6 +639,6 @@ def test_exppoly_rows_are_canonical():
         assert set(rows) <= set(solution.states.tolist())
         for row in rows.values():
             assert all(ExpPoly(poly.terms) == poly for poly in row)
-        want = np.stack([table.response.matrix(tau) for tau in taus])
+        want = np.stack([table.matrix(tau) for tau in taus])
         got = oracle_matrices(rows, solution.states, taus)
         assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())

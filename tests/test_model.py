@@ -67,6 +67,15 @@ class TestCouplingSchedule:
             TWO_PI, rel=1e-15
         )
 
+    @pytest.mark.parametrize("t_period", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_period_not_finite_and_positive(self, t_period):
+        with pytest.raises(ValueError, match="t_period"):
+            CouplingSchedule(g0=G, t_period=t_period)
+
+    def test_rejects_frequency_whose_period_overflows(self):
+        with pytest.raises(ValueError, match="t_period"):
+            CouplingSchedule.from_switching_frequency(G, 1e-320)
+
     def test_square_wave_values(self):
         sched = CouplingSchedule(g0=G, t_period=2.0)
         assert coupling_at(sched, 0.0) == G
