@@ -23,7 +23,7 @@ import numpy as np
 
 from .closedform2q import SPACE, ClosedFormParams, ResonanceError, closedform_state
 from .engine import PerturbativeSolution, run_to_order
-from .hilbert import qubit_excitation
+from .hilbert import norm, qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
 from .propagator import propagate, sample_times
 
@@ -284,8 +284,7 @@ def cmd_perturb(config: RunConfig, out_path: str) -> int:
     times = sample_times(config.t_final_ns, config.sample_dt_ns)
     amps = solution.amplitudes_at(times)
     p_exc = qubit_excitation(amps, solution.space, config.qubit_index)
-    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
-    rows = list(zip(times, p_exc, norms))
+    rows = list(zip(times, p_exc, norm(amps)))
     write_csv(out_path, ("t_ns", "p_excite", "norm_truncated"), rows)
     return EXIT_OK
 
@@ -390,6 +389,9 @@ def cmd_sweep(
     points: int,
 ) -> int:
     """Sweep the switching ratio; one row per ratio, in ascending order."""
+    for name, value in (("ratio_min", ratio_min), ("ratio_max", ratio_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if not 0 < ratio_min < ratio_max:
         raise ConfigError(
             f"need 0 < ratio_min < ratio_max, got {ratio_min}, {ratio_max}"

@@ -25,6 +25,10 @@ from .model import TWO_PI
 
 # The (N=2, n_max=1) basis the closed forms live on.
 SPACE = HilbertSpace(2, 1)
+# Relative half-width of the guard band around each pole.
+EPS_RES = 1e-6
+# Log-spaced switching frequencies of the sign-change scan.
+SCAN_POINTS = 200_000
 
 
 class ResonanceError(ValueError):
@@ -48,7 +52,6 @@ class ClosedFormParams:
     omega_c: float
     g_eff: float
     t_period: float
-    eps_res: float = 1e-6
 
     def __post_init__(self):
         if self.omega0 <= 0 or self.omega_c <= 0:
@@ -105,7 +108,7 @@ def _guard(p: ClosedFormParams, families: tuple[str, ...]) -> None:
         if name not in families:
             continue
         pole, _ = _nearest_pole(varpi_s, primary_fn(p))
-        if pole is not None and abs(varpi_s - pole) < p.eps_res * pole:
+        if pole is not None and abs(varpi_s - pole) < EPS_RES * pole:
             raise ResonanceError(name, pole, varpi_s)
 
 
@@ -197,7 +200,6 @@ def scan_divergence_locations(
     p: ClosedFormParams,
     varpi_min: float,
     varpi_max: float,
-    grid_points: int = 200_000,
 ) -> list[DivergencePole]:
     """Locate the resonant denominator zeros by a sign-change scan.
 
@@ -209,15 +211,11 @@ def scan_divergence_locations(
     """
     if not 0 < varpi_min < varpi_max:
         raise ValueError("need 0 < varpi_min < varpi_max")
-    # cos argument constants: tan(T*w0/2), tan(T*sum/4), tan(T*diff/4)
-    constants = {
-        "twice qubit frequency": math.pi * p.omega0,
-        "sum frequency": 0.5 * math.pi * p.omega_sum,
-        "difference frequency": 0.5 * math.pi * abs(p.omega_c - p.omega0),
-    }
-    grid = np.geomspace(varpi_min, varpi_max, grid_points)
+    grid = np.geomspace(varpi_min, varpi_max, SCAN_POINTS)
     poles: list[DivergencePole] = []
-    for family, c in constants.items():
+    for family, primary_fn in _FAMILIES:
+        # tan(T * primary / 4) = tan(c / varpi_s)
+        c = 0.5 * math.pi * primary_fn(p)
         if c <= 0:
             continue
         values = np.cos(c / grid)

@@ -5,25 +5,20 @@ The order-j coefficient vectors obey the hierarchy
     i dx_j/dt = E x_j + g(t) V x_{j-1},    x_j(0) = 0 for j >= 1,
 
 with E the bare energies, V the unit coupling and g(t) the square wave.
-The coupling is constant on every half-period, so every segment of one
-kind acts the same way wherever it sits on the grid:
+An off segment is the free phase exp(-i E tau) at every order, and an on
+segment maps the start vectors of orders 0..j to
+``x_j(tau) = sum_{m<=j} Phi_m(tau) x_{j-m}(0)``, the block-triangular
+form of Van Loan (IEEE TAC 23(3), 1978).  The stacked row (x_0 ... x_J)
+walks the grid through ``model.SegmentWalk``.
 
-* an off segment is the diagonal phase exp(-i E tau) at every order;
-* an on segment maps the start vectors of orders 0..j to
-  ``x_j(tau) = sum_{m<=j} Phi_m(tau) x_{j-m}(0)``.  This is the
-  block lower-triangular structure of Van Loan (IEEE TAC 23(3), 1978).
-
-The order-m response Phi_m(tau) to a unit start vector is built once,
-over a single on segment.  Every entry is a sum of residues at the bare
-energies, c * tau^k * exp(-i eps_a tau), so one order is one table over
-(power, level, target, source).  Each order's table comes from the
-previous one by gathering over the nonzeros of V and integrating every
-(power, level) slice in closed form; Phi_0 is the free phase.  The start
-vectors of orders 0..J, stacked into one row, then advance period by
-period through ``model.period_starts``, and samples are evaluated in
-batches over Phi's (power, level) terms.  The build depends on the
-dimension and the order, not on the number of segments.  ``ExpPoly``
-computes the same responses entry by entry and is the tests' oracle.
+The order-m response Phi_m(tau) to a unit start vector is built once, over
+a single on segment, so the build does not depend on the number of
+segments.  Every entry is a sum of residues at the bare energies,
+c * tau^k * exp(-i eps_a tau), so one order is one table over
+(power, level, target, source), made from the previous one by gathering
+over the nonzeros of V and integrating every (power, level) slice in
+closed form; Phi_0 is the free phase.  ``ExpPoly`` computes the same
+responses entry by entry and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -36,13 +31,12 @@ import numpy as np
 
 from .exppoly import PRUNE_REL_TOL, RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import BasisState, qubit_excitation
+from .hilbert import BasisState, norm, qubit_excitation
 from .model import (
     CouplingSchedule,
+    SegmentWalk,
     SystemParams,
     bare_energies,
-    locate,
-    period_starts,
     switching_grid,
 )
 
@@ -184,10 +178,10 @@ class OrderTable:
 
 
 class PerturbativeSolution:
-    """On-segment responses for orders 0..j and the period starts they give.
+    """On-segment responses for orders 0..j and the grid walk they drive.
 
     Every order is over the one reachable subsystem ``levels``.  Immutable
-    once built (the grid and the period starts are computed at first use).
+    once built (the grid walk is made at first use).
     """
 
     def __init__(
@@ -207,18 +201,9 @@ class PerturbativeSolution:
         self.levels = levels
         self.tables = tables
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Half-period segment edges covering [0, t_final]."""
-        return switching_grid(self.schedule, self.t_final)
-
     @property
     def order(self) -> int:
         return len(self.tables) - 1
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.edges) - 1
 
     @property
     def states(self) -> np.ndarray:
@@ -256,41 +241,27 @@ class PerturbativeSolution:
         return self.tables[order].support
 
     @cached_property
-    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """On map and period starts, (periods, (J+1)*R), of the row (x_0 ... x_J).
-
-        Over the R reachable states the on map is block upper-triangular with
-        blocks Phi_{j-i}(T/2)^T; the period map follows it with the free phase.
-        """
-        states = self.states
-        h = self.schedule.half_period
-        blocks = [table.matrix(h).T for table in self.tables]
+    def walk(self) -> SegmentWalk:
+        """Walk of the row (x_0 ... x_J); its on map has blocks Phi_{j-i}(T/2)^T, j >= i."""
+        blocks = [table.matrix(self.schedule.half_period).T for table in self.tables]
         zero = np.zeros_like(blocks[0])
         orders = range(len(blocks))
-        layout = [[blocks[j - i] if j >= i else zero for j in orders] for i in orders]
-        on_map = np.block(layout)
-        phase = np.tile(np.exp(-1j * self.levels.energies * h), len(self.tables))
+        on_map = np.block([[blocks[j - i] if j >= i else zero for j in orders] for i in orders])
         first = np.zeros(len(on_map), dtype=np.complex128)
-        first[np.searchsorted(states, self.support(0))] = 1.0
-        count = (self.n_segments - 1) // 2 + 1
-        return on_map, period_starts(first, on_map * phase, count)
+        first[np.searchsorted(self.states, self.support(0))] = 1.0
+        energies = np.tile(self.levels.energies, len(self.tables))
+        edges = switching_grid(self.schedule, self.t_final)
+        return SegmentWalk(self.schedule, edges, first, on_map, energies)
 
     def _evaluate(self, times: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Sum of the coefficients of orders lo..hi, shape (len(times), dim)."""
-        segments, tau = locate(self.edges, times)
-        on_map, starts = self._scan
         states = self.states
         free_rates = -1j * self.levels.energies
         out = np.zeros((len(times), self.space.dim), dtype=np.complex128)
         widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
         batch = max(1, _BATCH_ELEMENTS // max(1, widest * len(states)))
-        for first in range(0, len(times), batch):
-            part = slice(first, first + batch)
-            k, t = segments[part], tau[part]
-            x = starts[k // 2]
-            on = self.schedule.is_on(k)
-            x[~on] = x[~on] @ on_map
-            x = x.reshape(len(k), len(self.tables), len(states))
+        for part, on, t, x in self.walk.segment_starts(times, batch):
+            x = x.reshape(len(t), len(self.tables), len(states))
             block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
             if on.any():
                 for m in range(1, hi + 1):
@@ -325,7 +296,7 @@ class PerturbativeSolution:
         return pert_excitation_probability(self, qubit_index, t)
 
     def norm(self, t: float) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes(t)) ** 2)))
+        return float(norm(self.amplitudes(t)))
 
 
 def zeroth_order(

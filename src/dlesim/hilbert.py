@@ -148,7 +148,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(norm(self.amplitudes))
 
 
 def basis_vector(space: HilbertSpace, index: int) -> StateVector:
@@ -176,6 +176,11 @@ def qubit_excitation(
         )
     weights = np.abs(amplitudes) ** 2
     return weights @ space.bit_table[:, qubit_index].astype(float)
+
+
+def norm(amplitudes: np.ndarray) -> np.ndarray:
+    """sqrt(sum |a|^2) of one state (dim,) or of each row of (S, dim)."""
+    return np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=-1))
 
 
 def photon_expectation(amplitudes: np.ndarray, space: HilbertSpace) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Physical parameters, square-wave coupling schedule, and the Hamiltonian.
+"""Physical parameters, square-wave coupling schedule, Hamiltonian, grid walk.
 
 All frequencies are angular (rad/ns) with hbar = 1; times are in ns.  The
 qubit/cavity coupling is switched on/off as a square wave: on during the
@@ -165,6 +165,46 @@ def period_starts(
         if filled < count:
             power = project(power @ power)
     return rows
+
+
+class SegmentWalk:
+    """A row's walk over the half-period grid ``edges``, shared by both pipelines.
+
+    A period is ``on_map``, then the free phase exp(-i energies T/2);
+    ``starts`` holds the row at every period start the grid reaches.
+    """
+
+    def __init__(
+        self,
+        schedule: CouplingSchedule,
+        edges: np.ndarray,
+        first: np.ndarray,
+        on_map: np.ndarray,
+        energies: np.ndarray,
+        project=lambda m: m,
+    ):
+        self.schedule = schedule
+        self.edges = edges
+        self.on_map = on_map
+        period_map = on_map * np.exp(-1j * energies * schedule.half_period)
+        self.starts = period_starts(first, period_map, (len(edges) - 2) // 2 + 1, project)
+
+    def segment_starts(self, times: np.ndarray, batch: int):
+        """Yield (part, on, tau, rows) per ``batch`` times, placed by ``locate``.
+
+        ``rows`` start each time's segment (an off one's are past the on
+        map), ``tau`` is the local time and ``on`` the segment's kind.
+        """
+        segments, tau = locate(self.edges, times)
+        for start in range(0, len(times), batch):
+            part = slice(start, start + batch)
+            k = segments[part]
+            rows = self.starts[k // 2]
+            on = self.schedule.is_on(k)
+            off = np.flatnonzero(~on)
+            # one row more: a one-row product takes gemv, whose bits differ from gemm's
+            rows[off] = (rows[np.append(off, off[:1])] @ self.on_map)[: len(off)]
+            yield part, on, tau[part], rows
 
 
 def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:

@@ -3,9 +3,8 @@
 The Hamiltonian is constant over each half-period: diagonal with the
 coupling off, so an off segment is the free phase exp(-i E tau), and with
 it on the state advances by exact exponentials from one eigendecomposition.
-``model.period_starts`` gives the state at every period start, and each
-sample is one step from the segment ``model.locate`` puts it in: no
-integrator error.
+Samples come from ``model.SegmentWalk``'s segment starts in one step each:
+no integrator error.
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ from .hilbert import (
     HilbertSpace,
     StateVector,
     ground_state,
+    norm,
     photon_expectation,
     qubit_excitation,
 )
 from .model import (
     CouplingSchedule,
+    SegmentWalk,
     SystemParams,
     bare_energies,
     hamiltonian_matrix,
-    locate,
-    period_starts,
     switching_grid,
 )
 
@@ -57,7 +56,7 @@ class Trajectory:
         return StateVector(self.amplitudes[i], self.space)
 
     def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=1))
+        return norm(self.amplitudes)
 
     def excitation_probabilities(self, qubit_index: int) -> np.ndarray:
         return qubit_excitation(self.amplitudes, self.space, qubit_index)
@@ -102,39 +101,27 @@ def propagate(
     sample_dt: float,
     initial: Optional[StateVector] = None,
 ) -> Trajectory:
-    """Exact evolution from |gg...g,0> sampled at multiples of sample_dt.
-
-    Each sample advances from its period start, which one doubling scan gives,
-    through the on map and then, in an off segment, the free phase.
-    """
+    """Exact evolution from |gg...g,0> sampled at multiples of sample_dt."""
     space = params.space()
     if initial is None:
         initial = ground_state(space)
     elif initial.space != space:
         raise ValueError("initial state space does not match params")
 
-    on = _SegmentPropagator(hamiltonian_matrix(params, schedule.g0))
+    coupled = _SegmentPropagator(hamiltonian_matrix(params, schedule.g0))
     energies = bare_energies(params, space)
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)
-    k, tau = locate(edges, times)
-
-    # Transposed maps; one Newton-Schulz step keeps each power unitary, as
+    # Transposed on map; one Newton-Schulz step keeps each power unitary, as
     # eigh's eigenvectors are orthonormal to ~1e-15, which 1e4 products amplify.
-    h = schedule.half_period
-    on_map = _unitary(on.advance(np.eye(space.dim), np.full(space.dim, h)))
-    period_map = on_map * np.exp(-1j * energies * h)
-    starts = period_starts(initial.amplitudes, period_map, k[-1] // 2 + 1, _unitary)
+    on_map = _unitary(coupled.advance(np.eye(space.dim), np.full(space.dim, schedule.half_period)))
+    walk = SegmentWalk(schedule, edges, initial.amplitudes, on_map, energies, _unitary)
 
     out = np.empty((len(times), space.dim), dtype=np.complex128)
     batch = max(1, _BATCH_ELEMENTS // space.dim)
-    for first in range(0, len(times), batch):
-        part = slice(first, first + batch)
-        segment, t = k[part], tau[part]
-        psi = starts[segment // 2]
-        off = ~schedule.is_on(segment)
-        psi[off] = (psi[off] @ on_map) * np.exp(-1j * np.outer(t[off], energies))
-        psi[~off] = on.advance(psi[~off], t[~off])
+    for part, on, tau, psi in walk.segment_starts(times, batch):
+        psi[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
+        psi[on] = coupled.advance(psi[on], tau[on])
         out[part] = psi
     return Trajectory(times=times, amplitudes=out, space=space)
 

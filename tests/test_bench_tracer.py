@@ -12,21 +12,44 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from dlesim.cli import RunConfig
+from dlesim.model import switching_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+SWEEP_RATIOS = (10.0, 20.0)
 
 
-def test_traced_sweep_reports_every_layer(tmp_path):
+def segments(config: RunConfig) -> int:
+    return len(switching_grid(config.coupling_schedule(), config.t_final_ns)) - 1
+
+
+# Per command: extra arguments, the configs whose grids it walks (each
+# once per pipeline that samples it) and its engine evaluations.
+PIPELINES = {
+    "exact": ([], lambda c: [c], 0),
+    "compare": ([], lambda c: [c, c], 1),
+    "sweep": (
+        ["--ratio-min", "10", "--ratio-max", "20", "--points", "2"],
+        lambda c: [replace(c, switch_ratio=r) for r in SWEEP_RATIOS for _ in range(2)],
+        len(SWEEP_RATIOS),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINES))
+def test_traced_pipeline_reports_every_layer(tmp_path, command):
+    extra, walked, evals = PIPELINES[command]
     config = {"t_final_ns": 1.0}
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
     spans_path = tmp_path / "spans.json"
-    args = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "s.csv")]
-    args += ["--ratio-min", "10", "--ratio-max", "20", "--points", "2"]
+    args = [command, "--config", str(config_path), "--out", str(tmp_path / "s.csv"), *extra]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, str(TRACER), str(spans_path), *args],
@@ -40,8 +63,14 @@ def test_traced_sweep_reports_every_layer(tmp_path):
     # run_path compiles the source without writing a bytecode cache into bench/
     layer_metrics = runpy.run_path(str(TRACER))["layer_metrics"]
     metrics = layer_metrics(json.loads(spans_path.read_text()))
-    space = RunConfig(**config).system_params().space()
-    assert metrics["hilbert.dim"] == space.dim
-    assert metrics["engine.evals"] == 2
-    assert metrics["model.segments"] > 0
-    assert metrics["engine.build_s"] > 0
+    run = RunConfig(**config)
+    assert metrics["hilbert.dim"] == run.system_params().space().dim
+    assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
+    assert metrics["propagator.decompose_s"] > 0
+    assert metrics["engine.evals"] == evals
+    if command == "compare":
+        assert metrics["closedform2q.evals"] == 1
+    if evals:
+        assert metrics["engine.build_s"] > 0
+        for j in range(run.order + 1):
+            assert metrics[f"engine.order{j}_terms"] > 0

@@ -228,6 +228,26 @@ class TestConfigProbes:
         assert "config error: switch_ratio" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, span",
+        [
+            ("ratio_max", ["--ratio-max=inf", "--points", "3"]),
+            ("ratio_max", ["--ratio-max=nan"]),
+            ("ratio_min", ["--ratio-min=-inf"]),
+            ("ratio_min", ["--ratio-min=nan"]),
+        ],
+    )
+    def test_non_finite_sweep_ratio_rejected(self, tmp_path, capsys, monkeypatch, field, span):
+        monkeypatch.setattr(cli, "_sweep_point", never_runs)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--out", str(out), *span])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        value = span[0].split("=")[1]
+        assert err.startswith(f"config error: {field} must be a finite number, got {value}")
+        assert "switch_ratio" not in err
+        assert not out.exists()
+
 
 class TestSizeBudget:
     """Checked from the config alone: none of these runs is ever started."""

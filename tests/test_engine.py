@@ -168,7 +168,7 @@ class TestRetimed:
         fresh = run_to_order(params, schedule, order, t_final)
         times = np.linspace(0.0, t_final, 157)
         assert retimed.tables is engine.tables and retimed.levels is engine.levels
-        assert retimed.edges.tobytes() == fresh.edges.tobytes()
+        assert retimed.walk.edges.tobytes() == fresh.walk.edges.tobytes()
         expected = fresh.amplitudes_at(times)
         assert retimed.amplitudes_at(times).tobytes() == expected.tobytes()
 
@@ -226,7 +226,7 @@ class TestInvariants:
         eps = 1e-10
         for j in (1, 2):
             for idx in sol.support(j):
-                for edge in sol.edges[1:-1]:
+                for edge in sol.walk.edges[1:-1]:
                     left = sol.coefficient(j, idx, float(edge) - eps)
                     right = sol.coefficient(j, idx, float(edge))
                     assert abs(left - right) <= 1e-9
@@ -244,8 +244,8 @@ class TestInvariants:
             for idx in sol.support(j):
                 energy = float(sol.levels.energies[np.searchsorted(sol.states, idx)])
                 for _ in range(4):
-                    k = int(rng.integers(0, sol.n_segments))
-                    lo, hi = float(sol.edges[k]), float(sol.edges[k + 1])
+                    k = int(rng.integers(0, len(sol.walk.edges) - 1))
+                    lo, hi = float(sol.walk.edges[k]), float(sol.walk.edges[k + 1])
                     t = float(rng.uniform(lo + 3 * h, hi - 3 * h))
                     g_here = schedule.g0 if schedule.is_on(k) else 0.0
                     drive = sum(
@@ -417,7 +417,7 @@ class TestTransferMapAgainstSegmentOracle:
         j_max = 4
         sol = run_to_order(params, schedule, j_max, t_final, initial)
         edges, tables = segment_oracle(params, schedule, j_max, t_final, initial)
-        assert np.array_equal(sol.edges, edges)
+        assert np.array_equal(sol.walk.edges, edges)
         times = np.concatenate([np.linspace(0.0, t_final, 23), edges[1:-1] + 1e-6 * HALF_10])
         times = np.clip(times, 0.0, t_final)
         for j in range(j_max + 1):

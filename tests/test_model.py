@@ -9,6 +9,7 @@ from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
     LaplacePoleError,
+    SegmentWalk,
     SystemParams,
     bare_energies,
     hamiltonian_matrix,
@@ -357,3 +358,74 @@ class TestPeriodStarts:
         period_map = unitary_map(3, seed=1)
         period_starts(period_map[0], period_map, count, project)
         assert len(calls) == squarings
+
+
+def naive_segment_starts(edges, first, on_map, energies, h):
+    """Row at the start of every segment, one segment's map at a time."""
+    rows = [first]
+    for k in range(len(edges) - 2):
+        rows.append(rows[-1] @ on_map if k % 2 == 0 else rows[-1] * np.exp(-1j * energies * h))
+    return np.array(rows)
+
+
+def walk_all(walk, times, batch):
+    """Every batch of ``segment_starts`` joined, with the parts checked to tile the times."""
+    parts, ons, taus, rows = [], [], [], []
+    for part, on, tau, r in walk.segment_starts(times, batch):
+        parts.append(part)
+        ons.append(on)
+        taus.append(tau)
+        rows.append(r)
+    covered = np.concatenate([np.arange(len(times))[p] for p in parts])
+    assert np.array_equal(covered, np.arange(len(times)))
+    assert all(len(r) <= batch for r in rows)
+    return np.concatenate(ons), np.concatenate(taus), np.concatenate(rows)
+
+
+class TestSegmentWalk:
+    @pytest.mark.parametrize("t_final", [5.3, 5.0, 0.3])
+    def test_matches_naive_segment_product(self, t_final):
+        # 5.3: partial last segment; 5.0: t_final on a period edge; 0.3: one segment
+        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        h = schedule.half_period
+        rng = np.random.default_rng(11)
+        on_map = unitary_map(5, seed=3)
+        energies = rng.uniform(-20.0, 20.0, 5)
+        first = unitary_map(5, seed=4)[0]
+        edges = switching_grid(schedule, t_final)
+        times = np.sort(np.concatenate([
+            edges,  # t = 0, every interior edge and t_final
+            rng.uniform(0.0, t_final, 40),
+            rng.uniform(edges[-2], t_final, 5),  # inside the last segment
+        ]))
+        walk = SegmentWalk(schedule, edges, first, on_map, energies)
+        assert walk.edges is edges
+        naive = naive_segment_starts(edges, first, on_map, energies, h)
+        k, tau = locate(edges, times)
+
+        on, got_tau, rows = walk_all(walk, times, len(times) + 5)
+        assert np.array_equal(on, k % 2 == 0)
+        assert np.array_equal(got_tau, tau)
+        assert np.abs(rows - naive[k]).max() <= 1e-12
+        for batch in (1, 7):
+            again = walk_all(walk, times, batch)
+            assert again[0].tobytes() == on.tobytes()
+            assert again[1].tobytes() == got_tau.tobytes()
+            assert again[2].tobytes() == rows.tobytes()
+
+    def test_single_segment_grid_has_one_period_start(self):
+        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        edges = switching_grid(schedule, 0.3)
+        first = np.array([0.6, 0.8j])
+        walk = SegmentWalk(schedule, edges, first, unitary_map(2, seed=5), np.array([1.0, 2.0]))
+        assert len(edges) == 2 and walk.starts.shape == (1, 2)
+        on, tau, rows = walk_all(walk, np.array([0.0, 0.1, 0.3]), 2)
+        assert on.all() and np.array_equal(tau, [0.0, 0.1, 0.3])
+        assert np.array_equal(rows, np.tile(first, (3, 1)))
+
+    def test_period_count_covers_the_last_segment(self):
+        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        for t_final, periods in ((0.5, 1), (0.75, 1), (1.0, 1), (1.2, 2), (1.6, 2), (2.1, 3)):
+            edges = switching_grid(schedule, t_final)
+            walk = SegmentWalk(schedule, edges, np.ones(3), np.eye(3), np.zeros(3))
+            assert len(walk.starts) == periods
