@@ -253,15 +253,25 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         raise ConfigError(str(exc))
 
 
-def _format(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
+# Rows formatted per write: the text in memory stays a few hundred kB.
+CSV_CHUNK_ROWS = 4096
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
+def write_csv(
+    path: str, header: Sequence[str], rows: np.ndarray, blank: Sequence[int] = ()
+) -> None:
+    """The header, then the (S, C) float ``rows`` as round-trip reprs; the
+    ``blank`` columns of ``header`` are empty cells, with no column in ``rows``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start : start + CSV_CHUNK_ROWS]
+            columns = iter(chunk.T.tolist())
+            cells = [
+                [""] * len(chunk) if j in blank else map(repr, next(columns))
+                for j in range(len(header))
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def cmd_exact(config: RunConfig, out_path: str) -> int:
@@ -273,7 +283,7 @@ def cmd_exact(config: RunConfig, out_path: str) -> int:
     p_exc = traj.excitation_probabilities(config.qubit_index)
     photons = traj.photon_expectations()
     norms = traj.norms()
-    rows = list(zip(traj.times, p_exc, photons, norms))
+    rows = np.column_stack((traj.times, p_exc, photons, norms))
     write_csv(out_path, ("t_ns", "p_excite", "photon_exp", "norm"), rows)
     return EXIT_OK
 
@@ -284,7 +294,7 @@ def cmd_perturb(config: RunConfig, out_path: str) -> int:
     times = sample_times(config.t_final_ns, config.sample_dt_ns)
     amps = solution.amplitudes_at(times)
     p_exc = qubit_excitation(amps, solution.space, config.qubit_index)
-    rows = list(zip(times, p_exc, norm(amps)))
+    rows = np.column_stack((times, p_exc, norm(amps)))
     write_csv(out_path, ("t_ns", "p_excite", "norm_truncated"), rows)
     return EXIT_OK
 
@@ -350,15 +360,13 @@ def cmd_compare(config: RunConfig, out_path: str) -> int:
     p_cf, guard_hit = _closedform_column(config, times)
 
     diff_pert = np.abs(p_exact - p_pert)
-    empty = [None] * len(times)
-    diff_cf = empty if p_cf is None else np.abs(p_exact - p_cf)
-    rows = list(
-        zip(times, p_exact, p_pert, empty if p_cf is None else p_cf, diff_pert, diff_cf)
-    )
+    diff_cf = None if p_cf is None else np.abs(p_exact - p_cf)
+    columns = (times, p_exact, p_pert, p_cf, diff_pert, diff_cf)
     write_csv(
         out_path,
         ("t_ns", "p_exact", "p_pert", "p_closedform", "abs_diff_pert", "abs_diff_cf"),
-        rows,
+        np.column_stack([c for c in columns if c is not None]),
+        blank=[j for j, c in enumerate(columns) if c is None],
     )
     sup = float(diff_pert.max())
     rms = float(np.sqrt(np.mean(diff_pert**2)))
@@ -405,7 +413,7 @@ def cmd_sweep(
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
     # the ratio sets only the grid: one engine serves every point
     engine = build_engine(configs[0])
-    rows = [_sweep_point(point, engine) for point in configs]
+    rows = np.array([_sweep_point(point, engine) for point in configs])
     write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), rows)
     return EXIT_OK
 

@@ -37,6 +37,7 @@ from .model import (
     SegmentWalk,
     SystemParams,
     bare_energies,
+    row_products,
     switching_grid,
 )
 
@@ -146,7 +147,7 @@ class OrderTable:
         """Rows Phi(tau[s]) @ vectors[s], shape (S, R), for start vectors (S, R)."""
         basis = self._basis(tau)
         products = basis[:, :, None] * vectors[:, None, :]
-        return products.reshape(len(tau), -1) @ self.coeffs
+        return row_products(products.reshape(len(tau), -1), self.coeffs)
 
     def matrix(self, tau: float) -> np.ndarray:
         """Phi(tau) as an (R, R) matrix over the reachable states."""

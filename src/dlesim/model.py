@@ -146,6 +146,14 @@ def locate(edges: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return k, times - edges[k]
 
 
+def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix; one row goes in twice, as a one-row product takes gemv,
+    whose bits differ from gemm's, and each row must not depend on its batch."""
+    if len(rows) == 1:
+        return (rows[[0, 0]] @ matrix)[:1]
+    return rows @ matrix
+
+
 def period_starts(
     first: np.ndarray, period_map: np.ndarray, count: int, project=lambda m: m
 ) -> np.ndarray:
@@ -202,8 +210,7 @@ class SegmentWalk:
             rows = self.starts[k // 2]
             on = self.schedule.is_on(k)
             off = np.flatnonzero(~on)
-            # one row more: a one-row product takes gemv, whose bits differ from gemm's
-            rows[off] = (rows[np.append(off, off[:1])] @ self.on_map)[: len(off)]
+            rows[off] = row_products(rows[off], self.on_map)
             yield part, on, tau[part], rows
 
 

@@ -29,6 +29,7 @@ from .model import (
     SystemParams,
     bare_energies,
     hamiltonian_matrix,
+    row_products,
     switching_grid,
 )
 
@@ -76,9 +77,9 @@ class _SegmentPropagator:
 
     def advance(self, psis: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Rows exp(-i*H*taus[s]) @ psis[s], shape (S, dim), for states (S, dim)."""
-        rotated = psis @ self.eigenvectors.conj()
+        rotated = row_products(psis, self.eigenvectors.conj())
         rotated *= np.exp(-1j * np.outer(taus, self.eigenvalues))
-        return rotated @ self.eigenvectors.T
+        return row_products(rotated, self.eigenvectors.T)
 
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:

@@ -49,7 +49,8 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
     spans_path = tmp_path / "spans.json"
-    args = [command, "--config", str(config_path), "--out", str(tmp_path / "s.csv"), *extra]
+    out_path = tmp_path / "s.csv"
+    args = [command, "--config", str(config_path), "--out", str(out_path), *extra]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, str(TRACER), str(spans_path), *args],
@@ -68,6 +69,9 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
     assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
     assert metrics["propagator.decompose_s"] > 0
     assert metrics["engine.evals"] == evals
+    # the hook sees write_csv's positional (path, header, rows) and counts len(rows)
+    assert metrics["cli.csv_s"] > 0
+    assert metrics["cli.csv_rows"] == len(out_path.read_text().splitlines()) - 1
     if command == "compare":
         assert metrics["closedform2q.evals"] == 1
     if evals:

@@ -449,7 +449,16 @@ class TestBatchedEvaluation:
         batched = sol.amplitudes_at(times)
         assert batched.shape == (len(times), sol.space.dim)
         stacked = np.array([sol.amplitudes(float(t)) for t in times])
-        assert np.abs(batched - stacked).max() <= 1e-15
+        assert np.array_equal(batched, stacked)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch, order):
+        # one sample per batch: every on-segment product has a single row
+        sol = run_to_order(make_params(n_max=2), make_schedule(), order, 1.0)
+        times = np.linspace(0.0, 1.0, 201)
+        batched = sol.amplitudes_at(times)
+        monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 1)
+        assert np.array_equal(batched, sol.amplitudes_at(times))
 
     def test_max_order_truncates_sum(self):
         sol = run_to_order(make_params(n_max=2), make_schedule(), 3, 0.5)

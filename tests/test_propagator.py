@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dlesim import propagator
 from dlesim.hilbert import HilbertSpace, StateVector, basis_vector, ground_state
 from dlesim.model import (
     TWO_PI,
@@ -260,6 +261,15 @@ class TestGridWalk:
         params = make_params()
         schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
         assert max_oracle_gap(params, schedule, 1.0, 1e-4) <= 1e-12
+
+    def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
+        # one sample per batch: every on-segment product has a single row
+        params = make_params()
+        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        batched = propagate(params, schedule, 1.0, 0.005).amplitudes
+        monkeypatch.setattr(propagator, "_BATCH_ELEMENTS", 1)
+        single = propagate(params, schedule, 1.0, 0.005).amplitudes
+        assert np.array_equal(batched, single)
 
 
 class TestSampleTimes:

@@ -11,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dlesim import cli
 from dlesim.closedform2q import _nearest_pole
@@ -18,6 +19,7 @@ from dlesim.engine import run_to_order
 from dlesim.hilbert import HilbertSpace, qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
 from dlesim.propagator import propagate
+from test_csv import SPECIAL, assert_matches_reference
 from test_propagator import walk_oracle
 
 frequencies = st.floats(min_value=TWO_PI * 2.0, max_value=TWO_PI * 8.0)
@@ -137,6 +139,19 @@ def test_cli_csv_byte_identical_across_runs(config, g_fraction):
                 assert code in (cli.EXIT_OK, cli.EXIT_GUARD)
                 runs.append((code, out.read_bytes()))
             assert runs[0] == runs[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=4)),
+        elements=st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL),
+    )
+)
+def test_csv_writer_bytes_equal_the_per_cell_writer(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_reference(Path(tmp) / "out.csv", values)
 
 
 def _near_a_pole(omega0, omega_c, switching):
