@@ -220,9 +220,7 @@ class RunConfig:
         )
 
     def coupling_schedule(self) -> CouplingSchedule:
-        return CouplingSchedule.from_switching_frequency(
-            self.g_eff, self.switching_frequency
-        )
+        return CouplingSchedule.from_switching_frequency(self.switching_frequency)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}

@@ -230,12 +230,8 @@ class PerturbativeSolution:
     ) -> "PerturbativeSolution":
         """The same order tables on the grid of another period or window.
 
-        The responses depend on the energies, V and g0, not on the period.
+        The responses depend on ``params`` alone, not on the period.
         """
-        if schedule.g0 != self.schedule.g0:
-            raise ValueError(
-                f"the tables were built for g0={self.schedule.g0}, got g0={schedule.g0}"
-            )
         return PerturbativeSolution(self.params, schedule, t_final, self.levels, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
@@ -323,8 +319,8 @@ def zeroth_order(
     return PerturbativeSolution(params, schedule, t_final, levels, (order0,))
 
 
-def _next_response(prev: OrderTable, g0: float) -> np.ndarray:
-    """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g0 V Phi_{j-1}, Phi_j(0) = 0.
+def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
+    """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g_eff V Phi_{j-1}, Phi_j(0) = 0.
 
     A drive term d tau^k exp(-i eps_a tau) on target i, whose own level is
     b, integrates in closed form.  With mu = i (E_i - eps_a):
@@ -366,7 +362,7 @@ def _next_response(prev: OrderTable, g0: float) -> np.ndarray:
         constant -= term.sum(axis=0)
     diagonal = np.arange(n_states)
     table[0, levels.of_state, :, diagonal] += constant.T
-    table *= -1j * g0
+    table *= -1j * g_eff
     return table
 
 
@@ -378,17 +374,17 @@ def next_order(prev: PerturbativeSolution) -> OrderTable:
     raise the photon number beyond the cutoff are dropped and counted.
     """
     space = prev.space
-    g0 = prev.schedule.g0
+    g_eff = prev.params.g_eff
     prev_support = list(prev.support(prev.order))
 
     dropped = space.n_qubits * sum(
         1 for index in prev_support if space.photon_counts[index] == space.n_max
     )
     support: tuple[int, ...] = ()
-    if g0 != 0.0:
+    if g_eff != 0.0:
         coupled = space.coupling[:, prev_support].any(axis=1)
         support = tuple(np.flatnonzero(coupled).tolist())
-    table = _next_response(prev.tables[-1], g0)
+    table = _next_response(prev.tables[-1], g_eff)
     return OrderTable(prev.order + 1, support, table, prev.levels, dropped)
 
 

@@ -81,24 +81,24 @@ def bare_energies(params: SystemParams, space: HilbertSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Square wave: value g0 on [k*T, (2k+1)*T/2), 0 on [(2k+1)*T/2, (k+1)*T)."""
+    """Unit square wave s(t): 1 on [k*T, (2k+1)*T/2), 0 on [(2k+1)*T/2, (k+1)*T).
 
-    g0: float
+    The coupling is g(t) = g_eff * s(t), with g_eff from ``SystemParams``.
+    """
+
     t_period: float
 
     def __post_init__(self):
-        if self.g0 < 0:
-            raise ValueError(f"g0 must be >= 0, got {self.g0}")
         if not 0 < self.t_period < math.inf:
             raise ValueError(f"t_period must be finite and > 0, got {self.t_period}")
 
     @classmethod
-    def from_switching_frequency(cls, g0: float, switching_frequency: float) -> "CouplingSchedule":
+    def from_switching_frequency(cls, switching_frequency: float) -> "CouplingSchedule":
         if switching_frequency <= 0:
             raise ValueError(
                 f"switching_frequency must be > 0, got {switching_frequency}"
             )
-        return cls(g0=g0, t_period=TWO_PI / switching_frequency)
+        return cls(t_period=TWO_PI / switching_frequency)
 
     @property
     def switching_frequency(self) -> float:
@@ -117,7 +117,7 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     """Half-period segment edges [0, T/2, T, ...] covering [0, t_final].
 
     The last edge is clipped to t_final, and there is always at least one
-    segment; segment k carries coupling g0 when k is even and 0 when k is odd.
+    segment; the coupling is on in segment k when k is even, off when k is odd.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be > 0, got {t_final}")
@@ -215,12 +215,13 @@ class SegmentWalk:
 
 
 def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
-    """Closed-form Laplace transform of the square wave: g0/s / (1 + e^(-T s/2)).
+    """Laplace transform of the unit square wave: 1/s / (1 + e^(-T s/2)).
 
-    This is the geometric sum of the step-train representation and equals
-    the transform computed directly from the on/off integral; near s = 0 it
-    behaves like the duty-cycle average g0/(2s) and for Re(s)*T >> 1 like
-    g0/s (the first on half-period dominates).
+    Per unit coupling: the coupling's transform is g_eff times this.  It is
+    the geometric sum of the step-train representation and equals the
+    transform computed directly from the on/off integral; near s = 0 it
+    behaves like the duty-cycle average 1/(2s) and for Re(s)*T >> 1 like
+    1/s (the first on half-period dominates).
 
     Raises :class:`LaplacePoleError` at s = 0 and on the odd-harmonic pole
     family s = 2*pi*i*(2k+1)/T where 1 + e^(-T s/2) vanishes.
@@ -234,7 +235,7 @@ def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
             "laplace_coupling pole on the family s = 2*pi*i*(2k+1)/t_period "
             f"(s = {s}, |1 + exp(-T s/2)| = {abs(denom):.3e})"
         )
-    return schedule.g0 / s / denom
+    return 1.0 / s / denom
 
 
 def hamiltonian_matrix(params: SystemParams, coupling_value: float) -> np.ndarray:

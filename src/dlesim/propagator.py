@@ -109,7 +109,7 @@ def propagate(
     elif initial.space != space:
         raise ValueError("initial state space does not match params")
 
-    coupled = _SegmentPropagator(hamiltonian_matrix(params, schedule.g0))
+    coupled = _SegmentPropagator(hamiltonian_matrix(params, params.g_eff))
     energies = bare_energies(params, space)
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)

@@ -50,7 +50,7 @@ def paper_params(n_max: int) -> SystemParams:
 
 
 def schedule_at_ratio(ratio: float) -> CouplingSchedule:
-    return CouplingSchedule.from_switching_frequency(G, ratio * W0)
+    return CouplingSchedule.from_switching_frequency(ratio * W0)
 
 
 def sup_difference(ratio: float, t_final: float = 10.0, sample_dt: float = 0.01):
@@ -77,7 +77,7 @@ def agreement_by_ratio():
 def breakdown_run(eps: float, t_final: float = 500.0, sample_dt: float = 0.05):
     """(max_t P_pert, max_t P_exact) near the twice-qubit-frequency divergence."""
     varpi = 2 * W0 * (1 + eps)
-    schedule = CouplingSchedule.from_switching_frequency(G, varpi)
+    schedule = CouplingSchedule.from_switching_frequency(varpi)
     params = paper_params(n_max=2)
     traj = propagate(params, schedule, t_final, sample_dt)
     p_exact = traj.excitation_probabilities(0)
@@ -231,7 +231,7 @@ def test_a6_engine_vs_closedform():
 def test_a7_constant_coupling_equivalence():
     t_final = 5.0
     params = paper_params(n_max=2)
-    schedule = CouplingSchedule(g0=G, t_period=2 * t_final)
+    schedule = CouplingSchedule(t_period=2 * t_final)
     solution = run_to_order(params, schedule, 2, t_final)
     traj = propagate(params, schedule, t_final, 0.5)
     worst = 0.0

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ def make_params(n_max=1, g_eff=G):
     return SystemParams(omega0=W0, omega_c=WC, g_eff=g_eff, n_qubits=2, n_max=n_max)
 
 
-def make_schedule(ratio=20.0, g0=G):
-    return CouplingSchedule.from_switching_frequency(g0, ratio * W0)
+def make_schedule(ratio=20.0):
+    return CouplingSchedule.from_switching_frequency(ratio * W0)
 
 
 def adjacency_of(space):
@@ -82,7 +83,7 @@ class TestNextOrder:
         }
 
     def test_first_segment_analytic_solution(self):
-        # inside the first on half-period: alpha1 = (g0/W)(exp(-iWt) - 1)
+        # inside the first on half-period: alpha1 = (g/W)(exp(-iWt) - 1)
         schedule = make_schedule()
         sol = zeroth_order(make_params(), schedule, 1.0)
         sol = sol.extended(next_order(sol))
@@ -94,7 +95,7 @@ class TestNextOrder:
 
     def test_zero_drive_gives_zero_orders(self):
         params = make_params(g_eff=0.0)
-        schedule = make_schedule(g0=0.0)
+        schedule = make_schedule()
         sol = run_to_order(params, schedule, 2, 1.0)
         assert sol.support(1) == ()
         assert sol.support(2) == ()
@@ -172,11 +173,6 @@ class TestRetimed:
         expected = fresh.amplitudes_at(times)
         assert retimed.amplitudes_at(times).tobytes() == expected.tobytes()
 
-    def test_other_coupling_rejected(self):
-        engine = run_to_order(make_params(), make_schedule(), 2, 1.0)
-        with pytest.raises(ValueError, match="g0"):
-            engine.retimed(make_schedule(g0=2 * G), 1.0)
-
 
 @pytest.mark.parametrize("n_qubits", range(1, 6))
 @pytest.mark.parametrize("n_max", range(4))
@@ -208,8 +204,8 @@ def test_budget_counts_match_the_engines_levels(n_qubits, n_max):
 
 class TestInvariants:
     def test_order_scaling_in_g0(self):
-        params1, sched1 = make_params(g_eff=G), make_schedule(g0=G)
-        params2, sched2 = make_params(g_eff=2 * G), make_schedule(g0=2 * G)
+        params1, sched1 = make_params(g_eff=G), make_schedule()
+        params2, sched2 = make_params(g_eff=2 * G), make_schedule()
         sol1 = run_to_order(params1, sched1, 2, 1.0)
         sol2 = run_to_order(params2, sched2, 2, 1.0)
         rng = np.random.default_rng(8)
@@ -247,7 +243,7 @@ class TestInvariants:
                     k = int(rng.integers(0, len(sol.walk.edges) - 1))
                     lo, hi = float(sol.walk.edges[k]), float(sol.walk.edges[k + 1])
                     t = float(rng.uniform(lo + 3 * h, hi - 3 * h))
-                    g_here = schedule.g0 if schedule.is_on(k) else 0.0
+                    g_here = params.g_eff if schedule.is_on(k) else 0.0
                     drive = sum(
                         w * sol.coefficient(j - 1, src, t)
                         for src, w in adjacency[idx]
@@ -267,7 +263,7 @@ class TestInvariants:
         # degenerate schedule: period longer than twice the horizon
         t_final = 2.0
         params = make_params(n_max=2)
-        schedule = CouplingSchedule(g0=G, t_period=2 * t_final + 1.0)
+        schedule = CouplingSchedule(t_period=2 * t_final + 1.0)
         sol = run_to_order(params, schedule, 2, t_final)
         traj = propagate(params, schedule, t_final, 0.2)
         for i, t in enumerate(traj.times):
@@ -283,7 +279,7 @@ class TestInvariants:
         fast = make_schedule(ratio=400.0)
         sol_fast = run_to_order(params, fast, 1, t_final)
         half_params = make_params(g_eff=G / 2)
-        constant = CouplingSchedule(g0=G / 2, t_period=4 * t_final)
+        constant = CouplingSchedule(t_period=4 * t_final)
         sol_half = run_to_order(half_params, constant, 1, t_final)
         idx = sol_fast.space.index_of((0, 1), 1)
         scale = G / OMEGA_SUM
@@ -299,9 +295,18 @@ class TestExcitationProbability:
         assert pert_excitation_probability(sol, 0, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_drive(self):
-        sol = run_to_order(make_params(g_eff=0.0), make_schedule(g0=0.0), 2, 1.0)
+        sol = run_to_order(make_params(g_eff=0.0), make_schedule(), 2, 1.0)
         for t in (0.3, 0.9):
             assert pert_excitation_probability(sol, 0, t) == 0.0
+
+    def test_zero_coupling_in_params_silences_both_pipelines(self):
+        # the coupling is SystemParams.g_eff alone: the schedule only switches it
+        params, schedule = replace(make_params(n_max=2), g_eff=0.0), make_schedule()
+        traj = propagate(params, schedule, 1.0, 0.01)
+        sol = run_to_order(params, schedule, 2, 1.0)
+        for qubit in (0, 1):
+            assert np.all(traj.excitation_probabilities(qubit) == 0.0)
+            assert np.all(sol.excitation_probability(qubit, traj.times) == 0.0)
 
     def test_rejects_bad_qubit_index(self):
         sol = run_to_order(make_params(), make_schedule(), 1, 1.0)
@@ -328,7 +333,7 @@ def segment_oracle(params, schedule, j_max, t_final, initial=None):
     durations = np.diff(edges)
     energies = params.omega_c * space.photon_counts + params.omega0 * space.excitation_counts
     adjacency = adjacency_of(space)
-    g0 = schedule.g0
+    g_eff = params.g_eff
     e0 = float(energies[index])
     tables = [
         {
@@ -350,13 +355,13 @@ def segment_oracle(params, schedule, j_max, t_final, initial=None):
             nonzero = False
             for k in range(n_seg):
                 dt = float(durations[k])
-                if not (schedule.is_on(k) and g0 != 0.0):
+                if not (schedule.is_on(k) and g_eff != 0.0):
                     polys.append(ExpPoly.exponential(a_start, -1j * energy))
                     a_start *= cmath.exp(-1j * energy * dt)
                     nonzero = nonzero or a_start != 0
                     continue
                 rhs = linear_combination([(w, prev[s][k]) for w, s in sources])
-                driven = rhs.mul_exp(1j * energy).integrate_from(0.0).scale(-1j * g0)
+                driven = rhs.mul_exp(1j * energy).integrate_from(0.0).scale(-1j * g_eff)
                 poly = driven.add(ExpPoly.constant(a_start)).mul_exp(-1j * energy)
                 polys.append(poly)
                 a_start = poly.eval(dt)
@@ -397,13 +402,13 @@ ORACLE_CASES = {
     "partial last segment": (make_params(n_max=2), make_schedule(10.0), 7.4 * HALF_10, None),
     "constant coupling": (
         make_params(n_max=2),
-        CouplingSchedule(g0=G, t_period=2 * 0.5 + 1.0),
+        CouplingSchedule(t_period=2 * 0.5 + 1.0),
         0.5,
         None,
     ),
     "zero coupling": (
         make_params(n_max=2, g_eff=0.0),
-        make_schedule(10.0, g0=0.0),
+        make_schedule(10.0),
         0.2,
         BasisState((1, 0), 1),
     ),

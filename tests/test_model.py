@@ -29,11 +29,11 @@ def make_params(n_qubits=2, n_max=1):
 
 
 def coupling_at(schedule, t):
-    """Instantaneous coupling value g(t), right-continuous at switches."""
+    """Unit square wave s(t), right-continuous at switches."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     phase = math.fmod(t, schedule.t_period)
-    return schedule.g0 if phase < schedule.half_period else 0.0
+    return 1.0 if phase < schedule.half_period else 0.0
 
 
 class TestSystemParams:
@@ -63,7 +63,7 @@ class TestSystemParams:
 
 class TestCouplingSchedule:
     def test_period_frequency_roundtrip(self):
-        sched = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        sched = CouplingSchedule.from_switching_frequency(20 * W0)
         assert sched.switching_frequency * sched.t_period == pytest.approx(
             TWO_PI, rel=1e-15
         )
@@ -71,24 +71,24 @@ class TestCouplingSchedule:
     @pytest.mark.parametrize("t_period", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_period_not_finite_and_positive(self, t_period):
         with pytest.raises(ValueError, match="t_period"):
-            CouplingSchedule(g0=G, t_period=t_period)
+            CouplingSchedule(t_period=t_period)
 
     def test_rejects_frequency_whose_period_overflows(self):
         with pytest.raises(ValueError, match="t_period"):
-            CouplingSchedule.from_switching_frequency(G, 1e-320)
+            CouplingSchedule.from_switching_frequency(1e-320)
 
     def test_square_wave_values(self):
-        sched = CouplingSchedule(g0=G, t_period=2.0)
-        assert coupling_at(sched, 0.0) == G
+        sched = CouplingSchedule(t_period=2.0)
+        assert coupling_at(sched, 0.0) == 1.0
         assert coupling_at(sched, 0.75 * sched.t_period) == 0.0
         # right-continuity at the half-period switch
         assert coupling_at(sched, sched.half_period) == 0.0
-        assert coupling_at(sched, sched.t_period) == G
+        assert coupling_at(sched, sched.t_period) == 1.0
 
     def test_periodicity(self):
         # sample away from the switching instants, where the discontinuity
         # makes float equality of t and t + T meaningless
-        sched = CouplingSchedule(g0=G, t_period=0.7)
+        sched = CouplingSchedule(t_period=0.7)
         for t in np.linspace(0.0, 3 * sched.t_period, 50):
             offset = math.fmod(float(t), sched.half_period)
             if min(offset, sched.half_period - offset) < 1e-9:
@@ -98,29 +98,29 @@ class TestCouplingSchedule:
             )
 
     def test_rejects_negative_time(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         with pytest.raises(ValueError):
             coupling_at(sched, -0.1)
 
 
 class TestLaplaceCoupling:
     def test_large_real_s_asymptote(self):
-        # for sigma*T >> 1 only the first on half-period contributes: G -> g0/sigma
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        # for sigma*T >> 1 only the first on half-period contributes: 1/sigma
+        sched = CouplingSchedule(t_period=1.0)
         sigma = 60.0 / sched.t_period
         value = laplace_coupling(sched, sigma)
-        assert value.real == pytest.approx(G / sigma, rel=1e-6)
+        assert value.real == pytest.approx(1 / sigma, rel=1e-6)
         assert value.imag == 0.0
 
     def test_small_s_duty_cycle_average(self):
-        # for sigma*T << 1 the transform approaches the mean coupling g0/2 over s
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        # for sigma*T << 1 the transform approaches the mean value 1/2 over s
+        sched = CouplingSchedule(t_period=1.0)
         sigma = 1e-6 / sched.t_period
         value = laplace_coupling(sched, sigma)
-        assert value.real == pytest.approx(G / (2 * sigma), rel=1e-5)
+        assert value.real == pytest.approx(1 / (2 * sigma), rel=1e-5)
 
     def test_pole_family_detected(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         with pytest.raises(LaplacePoleError):
             laplace_coupling(sched, 2j * math.pi / sched.t_period)
         with pytest.raises(LaplacePoleError):
@@ -128,7 +128,7 @@ class TestLaplaceCoupling:
 
     def test_matches_truncated_series(self):
         # partial sums of the defining series against the closed form
-        sched = CouplingSchedule(g0=G, t_period=1.3)
+        sched = CouplingSchedule(t_period=1.3)
         s = (1 + 1j) / sched.t_period
         ts = sched.t_period
         series = 1.0 + sum(
@@ -137,11 +137,11 @@ class TestLaplaceCoupling:
             + cmath.exp(-(k + 1) * ts * s)
             for k in range(1000)
         )
-        expected = sched.g0 / (2 * s) * series
+        expected = series / (2 * s)
         assert laplace_coupling(sched, s) == pytest.approx(expected, rel=1e-9)
 
     def test_series_equivalence_grid(self):
-        sched = CouplingSchedule(g0=G, t_period=0.8)
+        sched = CouplingSchedule(t_period=0.8)
         ts = sched.t_period
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -154,7 +154,7 @@ class TestLaplaceCoupling:
                 + cmath.exp(-(k + 1) * ts * s)
                 for k in range(10_000)
             )
-            expected = sched.g0 / (2 * s) * series
+            expected = series / (2 * s)
             assert laplace_coupling(sched, s) == pytest.approx(expected, rel=1e-9)
 
 
@@ -224,7 +224,7 @@ class TestHamiltonian:
 
 class TestSwitchingGrid:
     def test_edges_cover_final_time(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         edges = switching_grid(sched, 2.25)
         assert edges[0] == 0.0
         assert edges[-1] == 2.25
@@ -232,18 +232,18 @@ class TestSwitchingGrid:
         assert np.allclose(edges[:-1], [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_exact_multiple(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         edges = switching_grid(sched, 2.0)
         assert np.allclose(edges, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_single_segment_when_period_long(self):
-        sched = CouplingSchedule(g0=G, t_period=50.0)
+        sched = CouplingSchedule(t_period=50.0)
         edges = switching_grid(sched, 5.0)
         assert list(edges) == [0.0, 5.0]
 
     @pytest.mark.parametrize("t_final", [1e-13, 1e-300])
     def test_tiny_window_has_one_segment(self, t_final):
-        sched = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        sched = CouplingSchedule.from_switching_frequency(20 * W0)
         assert list(switching_grid(sched, t_final)) == [0.0, t_final]
 
 
@@ -262,7 +262,7 @@ def reference_grid(schedule, t_final):
 def test_switching_grid_matches_reference_to_the_bit():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        sched = CouplingSchedule(g0=G, t_period=2 * float(rng.uniform(1e-3, 2.0)))
+        sched = CouplingSchedule(t_period=2 * float(rng.uniform(1e-3, 2.0)))
         h = sched.half_period
         for t_final in (
             float(rng.uniform(1e-3, 50.0)),
@@ -277,14 +277,14 @@ def test_switching_grid_matches_reference_to_the_bit():
 
 class TestLocate:
     def test_edge_starts_next_segment(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         edges = switching_grid(sched, 2.25)
         k, tau = locate(edges, np.array([0.0, 0.25, 0.5, 1.0, 1.75]))
         assert list(k) == [0, 0, 1, 2, 3]
         assert list(tau) == [0.0, 0.25, 0.0, 0.0, 0.25]
 
     def test_final_time_in_last_segment(self):
-        sched = CouplingSchedule(g0=G, t_period=1.0)
+        sched = CouplingSchedule(t_period=1.0)
         for t_final, last in ((2.25, 4), (2.0, 3)):
             edges = switching_grid(sched, t_final)
             k, tau = locate(edges, np.array([t_final]))
@@ -293,7 +293,7 @@ class TestLocate:
 
     @pytest.mark.parametrize("t", [-1e-9, -0.5, 2.25 + 1e-6, 3.0])
     def test_outside_window_rejected(self, t):
-        edges = switching_grid(CouplingSchedule(g0=G, t_period=1.0), 2.25)
+        edges = switching_grid(CouplingSchedule(t_period=1.0), 2.25)
         with pytest.raises(ValueError, match="outside"):
             locate(edges, np.array([0.1, t]))
 
@@ -386,7 +386,7 @@ class TestSegmentWalk:
     @pytest.mark.parametrize("t_final", [5.3, 5.0, 0.3])
     def test_matches_naive_segment_product(self, t_final):
         # 5.3: partial last segment; 5.0: t_final on a period edge; 0.3: one segment
-        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        schedule = CouplingSchedule(t_period=1.0)
         h = schedule.half_period
         rng = np.random.default_rng(11)
         on_map = unitary_map(5, seed=3)
@@ -414,7 +414,7 @@ class TestSegmentWalk:
             assert again[2].tobytes() == rows.tobytes()
 
     def test_single_segment_grid_has_one_period_start(self):
-        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        schedule = CouplingSchedule(t_period=1.0)
         edges = switching_grid(schedule, 0.3)
         first = np.array([0.6, 0.8j])
         walk = SegmentWalk(schedule, edges, first, unitary_map(2, seed=5), np.array([1.0, 2.0]))
@@ -424,7 +424,7 @@ class TestSegmentWalk:
         assert np.array_equal(rows, np.tile(first, (3, 1)))
 
     def test_period_count_covers_the_last_segment(self):
-        schedule = CouplingSchedule(g0=G, t_period=1.0)
+        schedule = CouplingSchedule(t_period=1.0)
         for t_final, periods in ((0.5, 1), (0.75, 1), (1.0, 1), (1.2, 2), (1.6, 2), (2.1, 3)):
             edges = switching_grid(schedule, t_final)
             walk = SegmentWalk(schedule, edges, np.ones(3), np.eye(3), np.zeros(3))

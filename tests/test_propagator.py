@@ -48,7 +48,7 @@ def walk_oracle(params, schedule, t_final, sample_dt, initial=None):
     space = params.space()
     psi = (ground_state(space) if initial is None else initial).amplitudes.copy()
     decompositions = [
-        np.linalg.eigh(hamiltonian_matrix(params, g)) for g in (schedule.g0, 0.0)
+        np.linalg.eigh(hamiltonian_matrix(params, g)) for g in (params.g_eff, 0.0)
     ]
 
     def advance(psi, kind, dt):
@@ -133,20 +133,20 @@ class TestEvolveSegment:
 class TestPropagate:
     def test_zero_coupling_stays_ground(self):
         params = make_params(g_eff=0.0)
-        schedule = CouplingSchedule.from_switching_frequency(0.0, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         traj = propagate(params, schedule, 5.0, 0.1)
         assert np.all(traj.excitation_probabilities(0) == 0.0)
         assert np.all(traj.photon_expectations() == 0.0)
 
     def test_norm_one_at_final_time(self):
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         traj = propagate(params, schedule, 10.0, 0.05)
         assert abs(traj.norms()[-1] - 1.0) <= 1e-9
 
     def test_unitarity_across_many_segments(self):
         params = make_params(n_max=1)
-        schedule = CouplingSchedule.from_switching_frequency(G, 100 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(100 * W0)
         t_final = 15.0
         assert len(switching_grid(schedule, t_final)) - 1 >= 10_000
         traj = propagate(params, schedule, t_final, 0.25)
@@ -156,7 +156,7 @@ class TestPropagate:
         # the exact-long benchmark point: 43.5k segments next to 2*omega0;
         # every squared period map is made unitary again, so the norm holds
         params = make_params(n_max=3)
-        schedule = CouplingSchedule.from_switching_frequency(G, 2.0 * (1 - 1e-4) * W0)
+        schedule = CouplingSchedule.from_switching_frequency(2.0 * (1 - 1e-4) * W0)
         t_final = 2000.0
         assert len(switching_grid(schedule, t_final)) - 1 >= 40_000
         traj = propagate(params, schedule, t_final, 0.05)
@@ -165,12 +165,12 @@ class TestPropagate:
     def test_reversibility(self):
         # e^{-i(-H)dt} = e^{+iH dt} inverts each segment step
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 10 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(10 * W0)
         t_final = 3.0
         traj = propagate(params, schedule, t_final, t_final)
         psi = traj.state(len(traj) - 1)
         edges = switching_grid(schedule, t_final)
-        h_on = hamiltonian_matrix(params, schedule.g0)
+        h_on = hamiltonian_matrix(params, params.g_eff)
         h_off = hamiltonian_matrix(params, 0.0)
         for k in reversed(range(len(edges) - 1)):
             h = h_on if k % 2 == 0 else h_off
@@ -181,7 +181,7 @@ class TestPropagate:
 
     def test_sampling_grid_independence(self):
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         coarse = propagate(params, schedule, 2.0, 0.2)
         fine = propagate(params, schedule, 2.0, 0.1)
         assert np.allclose(coarse.times, fine.times[::2])
@@ -189,9 +189,9 @@ class TestPropagate:
 
     def test_energy_constant_within_segment(self):
         params = make_params()
-        schedule = CouplingSchedule(g0=G, t_period=4.0)
+        schedule = CouplingSchedule(t_period=4.0)
         traj = propagate(params, schedule, 1.9, 0.1)
-        h_on = hamiltonian_matrix(params, schedule.g0)
+        h_on = hamiltonian_matrix(params, params.g_eff)
         energies = [
             float(np.real(traj.amplitudes[i].conj() @ h_on @ traj.amplitudes[i]))
             for i in range(len(traj))
@@ -200,7 +200,7 @@ class TestPropagate:
 
     def test_times_strictly_increasing(self):
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         traj = propagate(params, schedule, 1.0, 0.013)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
@@ -208,7 +208,7 @@ class TestPropagate:
 
     def test_invalid_grid_rejected(self):
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         with pytest.raises(ValueError):
             propagate(params, schedule, -1.0, 0.1)
         with pytest.raises(ValueError):
@@ -222,14 +222,14 @@ class TestGridWalk:
     def test_samples_on_switching_instants(self, per_period):
         # sample_dt = T/2 puts every sample on an edge, T/3 every third one
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         sample_dt = schedule.t_period / per_period
         assert max_oracle_gap(params, schedule, 1.0, sample_dt) <= 1e-12
 
     @pytest.mark.parametrize("ratio", [2.5, 20.0])
     def test_partial_last_segment(self, ratio):
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, ratio * W0)
+        schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
         t_final = 7.3 * schedule.half_period
         edges = switching_grid(schedule, t_final)
         assert edges[-1] - edges[-2] < 0.5 * schedule.half_period
@@ -240,18 +240,18 @@ class TestGridWalk:
         params = make_params()
         space = params.space()
         initial = basis_vector(space, space.index_of((1, 1), 1))
-        schedule = CouplingSchedule.from_switching_frequency(G, ratio * W0)
+        schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
         assert max_oracle_gap(params, schedule, 2.0, 0.013, initial) <= 1e-12
 
     def test_zero_coupling(self):
         params = make_params(g_eff=0.0)
-        schedule = CouplingSchedule.from_switching_frequency(0.0, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         initial = basis_vector(params.space(), 5)
         assert max_oracle_gap(params, schedule, 1.0, 0.03, initial) <= 1e-12
 
     def test_many_segments(self):
         params = make_params(n_max=3)
-        schedule = CouplingSchedule.from_switching_frequency(G, 2.0 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(2.0 * W0)
         t_final = 40.0
         assert len(switching_grid(schedule, t_final)) - 1 > 800
         assert max_oracle_gap(params, schedule, t_final, 0.05) <= 1e-12
@@ -259,13 +259,13 @@ class TestGridWalk:
     def test_batches_span_all_samples(self):
         # 10,001 samples of dim 12: several evaluation batches per segment kind
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         assert max_oracle_gap(params, schedule, 1.0, 1e-4) <= 1e-12
 
     def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # one sample per batch: every on-segment product has a single row
         params = make_params()
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         batched = propagate(params, schedule, 1.0, 0.005).amplitudes
         monkeypatch.setattr(propagator, "_BATCH_ELEMENTS", 1)
         single = propagate(params, schedule, 1.0, 0.005).amplitudes
@@ -288,20 +288,20 @@ class TestSampleTimes:
 class TestConvergenceCheck:
     def test_zero_coupling_zero_difference(self):
         params = make_params(g_eff=0.0, n_max=1)
-        schedule = CouplingSchedule.from_switching_frequency(0.0, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         report = convergence_check(params, schedule, 2.0, 1)
         assert report.sup_difference == 0.0
         assert report.converged
 
     def test_paper_parameters_converged_at_two_photons(self):
         params = make_params(n_max=2)
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         report = convergence_check(params, schedule, 5.0, 2)
         assert report.sup_difference < 1e-3
         assert report.converged
 
     def test_monotone_in_cutoff_for_weak_coupling(self):
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         sups = []
         for n_max in (1, 2, 3):
             params = make_params(n_max=n_max)
@@ -311,6 +311,6 @@ class TestConvergenceCheck:
 
     def test_rejects_zero_cutoff(self):
         params = make_params(n_max=1)
-        schedule = CouplingSchedule.from_switching_frequency(G, 20 * W0)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         with pytest.raises(ValueError):
             convergence_check(params, schedule, 1.0, 0)

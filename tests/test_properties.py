@@ -42,7 +42,7 @@ def test_unitary_and_matches_walk_oracle(
     params = SystemParams(
         omega0=omega0, omega_c=omega_c, g_eff=g, n_qubits=2, n_max=n_max
     )
-    schedule = CouplingSchedule.from_switching_frequency(g, ratio * omega0)
+    schedule = CouplingSchedule.from_switching_frequency(ratio * omega0)
     sample_dt = t_final / n_samples
     traj = propagate(params, schedule, t_final, sample_dt)
     assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-12
@@ -100,7 +100,7 @@ def test_every_qubit_excited_alike(
     params = SystemParams(
         omega0=omega0, omega_c=omega_c, g_eff=g, n_qubits=n_qubits, n_max=n_max
     )
-    schedule = CouplingSchedule.from_switching_frequency(g, ratio * omega0)
+    schedule = CouplingSchedule.from_switching_frequency(ratio * omega0)
     t_final = 1.0
     traj = propagate(params, schedule, t_final, t_final / 20)
     amps = run_to_order(params, schedule, order, t_final).amplitudes_at(traj.times)
@@ -180,7 +180,7 @@ def test_truncation_gap_scales_as_next_order(omega0, omega_c, ratio, n_max, t_fi
     gaps = []
     for g in couplings:
         params = SystemParams(omega0=omega0, omega_c=omega_c, g_eff=g, n_qubits=2, n_max=n_max)
-        schedule = CouplingSchedule.from_switching_frequency(g, ratio * omega0)
+        schedule = CouplingSchedule.from_switching_frequency(ratio * omega0)
         traj = propagate(params, schedule, t_final, t_final / 40)
         amps = run_to_order(params, schedule, order, t_final).amplitudes_at(traj.times)
         gaps.append(np.linalg.norm(traj.amplitudes - amps, axis=1).max())
