@@ -4,7 +4,7 @@ The order-j coefficient vectors obey the hierarchy
 
     i dx_j/dt = E x_j + g(t) V x_{j-1},    x_j(0) = 0 for j >= 1,
 
-with E the bare energies, V the unit coupling and g(t) the square wave.
+with E the bare energies, V the unit coupling and g(t) = g_eff s(t).
 An off segment is the free phase exp(-i E tau) at every order, and an on
 segment maps the start vectors of orders 0..j to
 ``x_j(tau) = sum_{m<=j} Phi_m(tau) x_{j-m}(0)``, the block-triangular

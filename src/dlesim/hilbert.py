@@ -8,6 +8,7 @@ index = photons * 2^N + bit code, so |gg...g,0> is always index 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,7 +64,6 @@ class HilbertSpace:
         self.n_max = n_max
         self.states = enumerate_basis(n_qubits, n_max)
         self.dim = len(self.states)
-        self._index = {(s.qubit_bits, s.photons): i for i, s in enumerate(self.states)}
         # dim x n_qubits bit table and photon counts, for vectorized observables
         self.bit_table = np.array([s.qubit_bits for s in self.states], dtype=np.uint8)
         self.photon_counts = np.array([s.photons for s in self.states], dtype=np.int64)
@@ -75,15 +75,14 @@ class HilbertSpace:
         self.coupling.setflags(write=False)
 
     def index_of(self, bits: Sequence[int], photons: int) -> int:
-        """Inverse of the enumeration order."""
+        """Inverse of the enumeration order: photons * 2^N + bit code."""
         bits = tuple(bits)
-        if len(bits) != self.n_qubits:
-            raise ValueError(
-                f"bit string has length {len(bits)}, space has {self.n_qubits} qubits"
-            )
-        if not 0 <= photons <= self.n_max:
-            raise ValueError(f"photons={photons} outside [0, {self.n_max}]")
-        return self._index[(bits, photons)]
+        if len(bits) != self.n_qubits or any(bit not in (0, 1) for bit in bits):
+            raise ValueError(f"need {self.n_qubits} qubit bits of 0 or 1, got {bits}")
+        if not (isinstance(photons, numbers.Integral) and 0 <= photons <= self.n_max):
+            raise ValueError(f"photons must be an integer in [0, {self.n_max}], got {photons!r}")
+        code = sum(int(bit) << (self.n_qubits - 1 - q) for q, bit in enumerate(bits))
+        return int(photons) * 2**self.n_qubits + code
 
     def index_of_state(self, state: BasisState) -> int:
         return self.index_of(state.qubit_bits, state.photons)
@@ -168,14 +167,16 @@ def qubit_excitation(
     """Weight on basis states whose bit at ``qubit_index`` is 1.
 
     ``amplitudes`` is one state (dim,) or one state per row (S, dim); the
-    result has the leading shape.  Not renormalized.
+    result has the leading shape.  Each row is reduced on its own, as in
+    ``norm``, so its bits do not depend on the batch.  Not renormalized.
     """
     if not 0 <= qubit_index < space.n_qubits:
         raise ValueError(
             f"qubit_index={qubit_index} outside [0, {space.n_qubits - 1}]"
         )
     weights = np.abs(amplitudes) ** 2
-    return weights @ space.bit_table[:, qubit_index].astype(float)
+    weights *= space.bit_table[:, qubit_index]
+    return weights.sum(axis=-1)
 
 
 def norm(amplitudes: np.ndarray) -> np.ndarray:
@@ -186,4 +187,5 @@ def norm(amplitudes: np.ndarray) -> np.ndarray:
 def photon_expectation(amplitudes: np.ndarray, space: HilbertSpace) -> np.ndarray:
     """Photon number weighted by amplitude weight, for (dim,) or (S, dim)."""
     weights = np.abs(amplitudes) ** 2
-    return weights @ space.photon_counts.astype(float)
+    weights *= space.photon_counts
+    return weights.sum(axis=-1)

@@ -81,10 +81,8 @@ def bare_energies(params: SystemParams, space: HilbertSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Unit square wave s(t): 1 on [k*T, (2k+1)*T/2), 0 on [(2k+1)*T/2, (k+1)*T).
-
-    The coupling is g(t) = g_eff * s(t), with g_eff from ``SystemParams``.
-    """
+    """Unit square wave s(t): 1 on [k*T, (2k+1)*T/2), 0 on [(2k+1)*T/2, (k+1)*T);
+    the coupling is g(t) = g_eff * s(t), with g_eff from ``SystemParams``."""
 
     t_period: float
 
@@ -215,11 +213,10 @@ class SegmentWalk:
 
 
 def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
-    """Laplace transform of the unit square wave: 1/s / (1 + e^(-T s/2)).
+    """Laplace transform of the unit square wave, 1/s / (1 + e^(-T s/2)).
 
     Per unit coupling: the coupling's transform is g_eff times this.  It is
-    the geometric sum of the step-train representation and equals the
-    transform computed directly from the on/off integral; near s = 0 it
+    the geometric sum of the step-train representation; near s = 0 it
     behaves like the duty-cycle average 1/(2s) and for Re(s)*T >> 1 like
     1/s (the first on half-period dominates).
 

@@ -1,5 +1,7 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dlesim.engine import run_to_order
 from dlesim.model import TWO_PI
 from dlesim.propagator import propagate
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -55,6 +58,11 @@ class TestRunConfig:
         assert cfg.omega_c_ghz == 4.343
         assert cfg.g_eff_ghz == 0.050
         assert cfg.omega0 == pytest.approx(TWO_PI * 5.439)
+
+    def test_readme_config_block_lists_the_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"All keys with\s+their defaults:\s+```json\n(.*?)```", text, re.S)
+        assert json.loads(block.group(1)) == {f.name: f.default for f in fields(RunConfig)}
 
     def test_switch_inputs_mutually_exclusive(self):
         with pytest.raises(ConfigError):

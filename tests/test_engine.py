@@ -294,6 +294,12 @@ class TestExcitationProbability:
         sol = run_to_order(make_params(), make_schedule(), 2, 1.0)
         assert pert_excitation_probability(sol, 0, 0.0) == pytest.approx(0.0, abs=1e-20)
 
+    def test_scalar_time_equals_the_array_call(self):
+        sol = run_to_order(make_params(n_max=2), make_schedule(ratio=7.3), 4, 1.0)
+        times = np.linspace(0.0, 1.0, 101)
+        batched = sol.excitation_probability(0, times)
+        assert [sol.excitation_probability(0, float(t)) for t in times] == batched.tolist()
+
     def test_zero_drive(self):
         sol = run_to_order(make_params(g_eff=0.0), make_schedule(), 2, 1.0)
         for t in (0.3, 0.9):

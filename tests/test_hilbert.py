@@ -10,6 +10,7 @@ from dlesim.hilbert import (
     basis_vector,
     enumerate_basis,
     ground_state,
+    norm,
     photon_expectation,
     qubit_excitation,
 )
@@ -77,6 +78,10 @@ def test_index_of_rejects_bad_input():
         space.index_of((0, 0, 0), 0)
     with pytest.raises(ValueError):
         space.index_of((0, 0), 2)
+    with pytest.raises(ValueError, match=r"got \(2, 0\)"):
+        space.index_of((2, 0), 0)
+    with pytest.raises(ValueError, match="got 0.5"):
+        space.index_of((0, 0), 0.5)
 
 
 def test_ground_state_probabilities():
@@ -200,6 +205,22 @@ def test_batched_observables_match_rows():
     for q in range(space.n_qubits):
         batched = qubit_excitation(amps, space, q)
         for row, value in zip(amps, batched):
-            assert qubit_excitation(row, space, q) == pytest.approx(value, rel=1e-15)
+            assert qubit_excitation(row, space, q) == value
     for row, value in zip(amps, photons):
-        assert photon_expectation(row, space) == pytest.approx(value, rel=1e-15)
+        assert photon_expectation(row, space) == value
+
+
+@pytest.mark.parametrize("n_qubits, n_max", [(2, 2), (3, 4), (6, 2)])
+def test_observables_do_not_depend_on_the_batch(n_qubits, n_max):
+    # dims 12, 40 and 192: every row is reduced on its own, to the bit
+    space = HilbertSpace(n_qubits, n_max)
+    rng = np.random.default_rng(n_qubits)
+    amps = rng.normal(size=(10, space.dim)) + 1j * rng.normal(size=(10, space.dim))
+    observables = [lambda a: photon_expectation(a, space), norm] + [
+        lambda a, q=q: qubit_excitation(a, space, q) for q in range(n_qubits)
+    ]
+    for f in observables:
+        whole = f(amps)
+        assert whole.tobytes() == np.array([f(row) for row in amps]).tobytes()
+        chunks = np.concatenate([f(amps[i : i + 3]) for i in range(0, len(amps), 3)])
+        assert whole.tobytes() == chunks.tobytes()
