@@ -34,16 +34,7 @@ from .engine import (
     zeroth_order,
 )
 from .exppoly import ExpPoly, linear_combination
-from .hilbert import (
-    BasisState,
-    HilbertSpace,
-    StateVector,
-    basis_vector,
-    enumerate_basis,
-    ground_state,
-    photon_expectation,
-    qubit_excitation,
-)
+from .hilbert import HilbertSpace, photon_expectation, qubit_excitation
 from .model import (
     CouplingSchedule,
     LaplacePoleError,
@@ -55,7 +46,6 @@ from .model import (
 from .propagator import ConvergenceReport, Trajectory, convergence_check, propagate
 
 __all__ = [
-    "BasisState",
     "ClosedFormParams",
     "ConvergenceReport",
     "CouplingSchedule",
@@ -64,19 +54,15 @@ __all__ = [
     "LaplacePoleError",
     "PerturbativeSolution",
     "ResonanceError",
-    "StateVector",
     "SystemParams",
     "Trajectory",
     "alpha1_eg1",
     "alpha1_ge1",
     "alpha2_ee0",
     "alpha2_gg0",
-    "basis_vector",
     "closedform_state",
     "convergence_check",
     "divergence_locations",
-    "enumerate_basis",
-    "ground_state",
     "hamiltonian_matrix",
     "laplace_coupling",
     "linear_combination",

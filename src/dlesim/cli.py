@@ -312,7 +312,7 @@ def _closedform_column(
         omega0=config.omega0,
         omega_c=config.omega_c,
         g_eff=config.g_eff,
-        t_period=TWO_PI / config.switching_frequency,
+        t_period=config.coupling_schedule().t_period,
     )
     if cf_params.degenerate:
         print(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .exppoly import PRUNE_REL_TOL, RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import BasisState, norm, qubit_excitation
+from .hilbert import norm, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
@@ -300,16 +300,16 @@ def zeroth_order(
     params: SystemParams,
     schedule: CouplingSchedule,
     t_final: float,
-    initial: Optional[BasisState] = None,
+    initial: int = 0,
 ) -> PerturbativeSolution:
-    """Order-0 solution: the initial state evolving under its bare energy only.
+    """Order-0 solution: basis state ``initial`` evolving under its bare energy only.
 
     For the default ground-state start the coefficient is the constant 1;
     a nonzero-energy initial state carries its free phase exp(-i*E*t).
     The order-0 response is that free phase on every reachable state.
     """
     space = params.space()
-    initial_index = space.ground_index() if initial is None else space.index_of_state(initial)
+    initial_index = space.check_initial(initial)
     levels = Levels.of(space.coupling, bare_energies(params, space), initial_index)
     n_states = len(levels.states)
     diagonal = np.arange(n_states)
@@ -393,7 +393,7 @@ def run_to_order(
     schedule: CouplingSchedule,
     j_max: int,
     t_final: float,
-    initial: Optional[BasisState] = None,
+    initial: int = 0,
 ) -> PerturbativeSolution:
     """Iterate the recursion up to order j_max over the grid covering [0, t_final]."""
     if j_max < 0:

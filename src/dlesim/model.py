@@ -235,16 +235,14 @@ def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
     return 1.0 / s / denom
 
 
-def hamiltonian_matrix(params: SystemParams, coupling_value: float) -> np.ndarray:
-    """Full Hamiltonian over the canonical basis for one instantaneous coupling.
+def hamiltonian_matrix(params: SystemParams) -> np.ndarray:
+    """Full Hamiltonian over the canonical basis with the coupling on.
 
     Diagonal: omega_c*n + omega0*(excitation count).  Off-diagonal:
-    coupling_value times the unit coupling ``space.coupling``, whose four
+    ``params.g_eff`` times the unit coupling ``space.coupling``, whose four
     interaction terms (excitation-conserving and counter-rotating) have real
     elements sqrt(n) or sqrt(n+1).  The result is exactly real-symmetric.
     """
-    if coupling_value < 0:
-        raise ValueError(f"coupling_value must be >= 0, got {coupling_value}")
     space = params.space()
     h = np.diag(bare_energies(params, space).astype(np.complex128))
-    return h + coupling_value * space.coupling
+    return h + params.g_eff * space.coupling

@@ -15,14 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import (
-    HilbertSpace,
-    StateVector,
-    ground_state,
-    norm,
-    photon_expectation,
-    qubit_excitation,
-)
+from .hilbert import HilbertSpace, norm, photon_expectation, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
@@ -52,9 +45,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> StateVector:
-        return StateVector(self.amplitudes[i], self.space)
 
     def norms(self) -> np.ndarray:
         return norm(self.amplitudes)
@@ -100,23 +90,21 @@ def propagate(
     schedule: CouplingSchedule,
     t_final: float,
     sample_dt: float,
-    initial: Optional[StateVector] = None,
+    initial: int = 0,
 ) -> Trajectory:
-    """Exact evolution from |gg...g,0> sampled at multiples of sample_dt."""
+    """Exact evolution from basis state ``initial``, sampled at multiples of sample_dt."""
     space = params.space()
-    if initial is None:
-        initial = ground_state(space)
-    elif initial.space != space:
-        raise ValueError("initial state space does not match params")
+    first = np.zeros(space.dim, dtype=np.complex128)
+    first[space.check_initial(initial)] = 1.0
 
-    coupled = _SegmentPropagator(hamiltonian_matrix(params, params.g_eff))
+    coupled = _SegmentPropagator(hamiltonian_matrix(params))
     energies = bare_energies(params, space)
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)
     # Transposed on map; one Newton-Schulz step keeps each power unitary, as
     # eigh's eigenvectors are orthonormal to ~1e-15, which 1e4 products amplify.
     on_map = _unitary(coupled.advance(np.eye(space.dim), np.full(space.dim, schedule.half_period)))
-    walk = SegmentWalk(schedule, edges, initial.amplitudes, on_map, energies, _unitary)
+    walk = SegmentWalk(schedule, edges, first, on_map, energies, _unitary)
 
     out = np.empty((len(times), space.dim), dtype=np.complex128)
     batch = max(1, _BATCH_ELEMENTS // space.dim)

@@ -291,8 +291,8 @@ def test_a8_exppoly_calculus():
 def test_a9_selection_rules():
     solution = run_to_order(paper_params(n_max=1), schedule_at_ratio(20.0), 2, 1.0)
     space = solution.space
-    order1 = {space.states[i].label() for i in solution.support(1)}
-    order2 = {space.states[i].label() for i in solution.support(2)}
+    order1 = {space.label(i) for i in solution.support(1)}
+    order2 = {space.label(i) for i in solution.support(2)}
     ok = order1 == {"|ge,1>", "|eg,1>"} and order2 == {"|gg,0>", "|ee,0>"}
     check(
         "A9 selection rules",

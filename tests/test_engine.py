@@ -14,7 +14,7 @@ from dlesim.engine import (
     zeroth_order,
 )
 from dlesim.exppoly import ExpPoly, linear_combination
-from dlesim.hilbert import BasisState, HilbertSpace
+from dlesim.hilbert import HilbertSpace
 from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
@@ -64,9 +64,8 @@ class TestZerothOrder:
 
     def test_excited_start_carries_free_phase(self):
         space = HilbertSpace(2, 1)
-        initial = BasisState((0, 1), 1)
-        sol = zeroth_order(make_params(), make_schedule(), 1.0, initial=initial)
         idx = space.index_of((0, 1), 1)
+        sol = zeroth_order(make_params(), make_schedule(), 1.0, initial=idx)
         t = 0.83
         expected = cmath.exp(-1j * OMEGA_SUM * t)
         assert sol.coefficient(0, idx, t) == pytest.approx(expected, rel=1e-10)
@@ -156,6 +155,12 @@ class TestRunToOrder:
         assert sol.dropped_couplings == (0, 0, 4)
         sol_default = run_to_order(make_params(n_max=2), make_schedule(), 2, 1.0)
         assert sol_default.dropped_couplings == (0, 0, 0)
+
+    def test_rejects_initial_outside_the_basis(self):
+        params = make_params()
+        for initial in (-1, params.space().dim, 1.5):
+            with pytest.raises(ValueError, match="initial"):
+                run_to_order(params, make_schedule(), 2, 1.0, initial)
 
 
 class TestRetimed:
@@ -272,6 +277,16 @@ class TestInvariants:
             diff = np.abs(sol.amplitudes(float(t)) - traj.amplitudes[i]).max()
             assert diff <= 10 * (G * float(t)) ** 3
 
+    @pytest.mark.parametrize("ratio", [2.5, 20.0])
+    def test_every_basis_start_matches_exact_propagator(self, ratio):
+        # both pipelines take the same basis index as their initial state
+        params, schedule = make_params(n_max=2), make_schedule(ratio)
+        for initial in range(params.space().dim):
+            traj = propagate(params, schedule, 1.0, 0.01, initial)
+            sol = run_to_order(params, schedule, 4, 1.0, initial)
+            gap = np.abs(sol.amplitudes_at(traj.times) - traj.amplitudes).max()
+            assert gap <= 1e-4, (initial, gap)
+
     def test_half_amplitude_high_frequency_relation(self):
         # fast switching acts like a constant coupling at half amplitude
         t_final = 1.0
@@ -325,7 +340,7 @@ class TestExcitationProbability:
             sol.coefficient(1, 5, 1.5)
 
 
-def segment_oracle(params, schedule, j_max, t_final, initial=None):
+def segment_oracle(params, schedule, j_max, t_final, index=0):
     """Reference recursion: one ExpPoly per state, order and segment.
 
     Solves every segment of every order in local time, matching the value
@@ -333,7 +348,6 @@ def segment_oracle(params, schedule, j_max, t_final, initial=None):
     state index to its per-segment polynomials (nonzero states only).
     """
     space = params.space()
-    index = space.ground_index() if initial is None else space.index_of_state(initial)
     edges = switching_grid(schedule, t_final)
     n_seg = len(edges) - 1
     durations = np.diff(edges)
@@ -388,35 +402,36 @@ def oracle_coefficient(edges, tables, order, index, t):
 
 
 HALF_10 = 0.5 / (10.0 * W0 / TWO_PI)
+SPACE_2_2 = HilbertSpace(2, 2)
 
 ORACLE_CASES = {
-    "ground ratio 2.5": (make_params(n_max=2), make_schedule(2.5), 0.3, None),
-    "ground ratio 10": (make_params(n_max=2), make_schedule(10.0), 0.2, None),
-    "ground ratio 20": (make_params(n_max=2), make_schedule(20.0), 0.12, None),
+    "ground ratio 2.5": (make_params(n_max=2), make_schedule(2.5), 0.3, 0),
+    "ground ratio 10": (make_params(n_max=2), make_schedule(10.0), 0.2, 0),
+    "ground ratio 20": (make_params(n_max=2), make_schedule(20.0), 0.12, 0),
     "excited ratio 10": (
         make_params(n_max=2),
         make_schedule(10.0),
         0.2,
-        BasisState((1, 0), 0),
+        SPACE_2_2.index_of((1, 0), 0),
     ),
     "excited two-photon ratio 20": (
         make_params(n_max=2),
         make_schedule(20.0),
         0.1,
-        BasisState((0, 1), 2),
+        SPACE_2_2.index_of((0, 1), 2),
     ),
-    "partial last segment": (make_params(n_max=2), make_schedule(10.0), 7.4 * HALF_10, None),
+    "partial last segment": (make_params(n_max=2), make_schedule(10.0), 7.4 * HALF_10, 0),
     "constant coupling": (
         make_params(n_max=2),
         CouplingSchedule(t_period=2 * 0.5 + 1.0),
         0.5,
-        None,
+        0,
     ),
     "zero coupling": (
         make_params(n_max=2, g_eff=0.0),
         make_schedule(10.0),
         0.2,
-        BasisState((1, 0), 1),
+        SPACE_2_2.index_of((1, 0), 1),
     ),
 }
 

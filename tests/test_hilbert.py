@@ -1,32 +1,33 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dlesim.hilbert import (
-    BasisState,
-    HilbertSpace,
-    StateVector,
-    basis_vector,
-    enumerate_basis,
-    ground_state,
-    norm,
-    photon_expectation,
-    qubit_excitation,
-)
+from dlesim.hilbert import HilbertSpace, norm, photon_expectation, qubit_excitation
+
+
+def configurations(space):
+    """(qubit bits, photons) of every basis state, read off the space's arrays."""
+    return list(zip(map(tuple, space.bit_table.tolist()), space.photon_counts.tolist()))
+
+
+def basis_vector(space, index):
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 def test_single_qubit_vacuum():
-    states = enumerate_basis(1, 0)
-    assert len(states) == 2
-    assert states[0] == BasisState((0,), 0)
-    assert states[1] == BasisState((1,), 0)
+    space = HilbertSpace(1, 0)
+    assert space.dim == 2
+    assert configurations(space) == [((0,), 0), ((1,), 0)]
 
 
 def test_two_qubit_one_photon_eight_states():
-    states = enumerate_basis(2, 1)
-    assert len(states) == 8
-    labels = [s.label() for s in states]
+    space = HilbertSpace(2, 1)
+    assert space.dim == 8
+    labels = [space.label(k) for k in range(space.dim)]
     assert labels[0] == "|gg,0>"
     assert labels[-1] == "|ee,1>"
     # photons-major, bit-integer-minor
@@ -43,26 +44,38 @@ def test_two_qubit_one_photon_eight_states():
 
 
 def test_three_qubit_count():
-    assert len(enumerate_basis(3, 2)) == 24
+    space = HilbertSpace(3, 2)
+    assert space.dim == len(configurations(space)) == 24
 
 
 def test_rejects_zero_qubits():
-    with pytest.raises(ValueError):
-        enumerate_basis(0, 1)
+    with pytest.raises(ValueError, match="n_qubits"):
+        HilbertSpace(0, 1)
+
+
+@pytest.mark.parametrize("n_max", [1.5, -1])
+def test_rejects_bad_cutoff(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        HilbertSpace(2, n_max)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
 def test_no_duplicates_and_size(n_qubits, n_max):
-    states = enumerate_basis(n_qubits, n_max)
-    assert len(set(states)) == len(states) == 2**n_qubits * (n_max + 1)
+    space = HilbertSpace(n_qubits, n_max)
+    states = configurations(space)
+    assert len(set(states)) == len(states) == space.dim == 2**n_qubits * (n_max + 1)
+    assert space.bit_table.dtype == np.uint8
+    assert space.photon_counts.dtype == space.excitation_counts.dtype == np.int64
+    assert np.array_equal(space.excitation_counts, space.bit_table.sum(axis=1))
 
 
 def test_index_of_inverts_enumeration():
     for n_qubits, n_max in [(1, 0), (2, 1), (3, 3), (4, 2)]:
         space = HilbertSpace(n_qubits, n_max)
-        for k, state in enumerate(space.states):
-            assert space.index_of(state.qubit_bits, state.photons) == k
+        for k, (bits, photons) in enumerate(configurations(space)):
+            assert space.index_of(bits, photons) == k
+            assert space.label(k) == "|" + "".join("ge"[b] for b in bits) + f",{photons}>"
 
 
 def test_index_of_examples():
@@ -86,30 +99,29 @@ def test_index_of_rejects_bad_input():
 
 def test_ground_state_probabilities():
     space = HilbertSpace(2, 1)
-    psi = ground_state(space)
-    assert qubit_excitation(psi.amplitudes, space, 0) == 0.0
-    assert qubit_excitation(psi.amplitudes, space, 1) == 0.0
-    assert photon_expectation(psi.amplitudes, space) == 0.0
+    psi = basis_vector(space, 0)
+    assert qubit_excitation(psi, space, 0) == 0.0
+    assert qubit_excitation(psi, space, 1) == 0.0
+    assert photon_expectation(psi, space) == 0.0
 
 
 def test_fully_excited():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, space.index_of((1, 1), 0))
-    assert qubit_excitation(psi.amplitudes, space, 1) == 1.0
+    assert qubit_excitation(psi, space, 1) == 1.0
 
 
 def test_equal_superposition_half():
     space = HilbertSpace(2, 1)
-    amps = np.full(8, 1 / np.sqrt(8), dtype=complex)
-    psi = StateVector(amps, space)
+    psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
     # brute force: sum weights of states whose bit 0 is set
     expected = sum(
         abs(a) ** 2
-        for a, s in zip(psi.amplitudes, space.states)
-        if s.qubit_bits[0] == 1
+        for a, (bits, _) in zip(psi, configurations(space))
+        if bits[0] == 1
     )
     assert expected == pytest.approx(0.5, abs=1e-12)
-    assert qubit_excitation(psi.amplitudes, space, 0) == pytest.approx(
+    assert qubit_excitation(psi, space, 0) == pytest.approx(
         expected, abs=1e-15
     )
 
@@ -117,44 +129,31 @@ def test_equal_superposition_half():
 def test_excited_one_photon_expectation():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, space.index_of((0, 1), 1))
-    assert photon_expectation(psi.amplitudes, space) == pytest.approx(1.0)
+    assert photon_expectation(psi, space) == pytest.approx(1.0)
 
 
 def test_mixed_photon_expectation():
     space = HilbertSpace(2, 1)
-    amps = np.zeros(8, dtype=complex)
-    amps[space.index_of((0, 0), 0)] = 1 / np.sqrt(2)
-    amps[space.index_of((0, 1), 1)] = 1 / np.sqrt(2)
-    psi = StateVector(amps, space)
-    assert photon_expectation(psi.amplitudes, space) == pytest.approx(0.5)
+    psi = np.zeros(8, dtype=complex)
+    psi[space.index_of((0, 0), 0)] = 1 / np.sqrt(2)
+    psi[space.index_of((0, 1), 1)] = 1 / np.sqrt(2)
+    assert photon_expectation(psi, space) == pytest.approx(0.5)
 
 
 def test_excitation_bounded_by_norm():
     rng = np.random.default_rng(7)
     space = HilbertSpace(3, 2)
     for _ in range(20):
-        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        psi = StateVector(amps, space)
-        norm_sq = psi.norm() ** 2
+        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        norm_sq = float(norm(psi)) ** 2
         for q in range(space.n_qubits):
-            assert qubit_excitation(psi.amplitudes, space, q) <= norm_sq + 1e-12
+            assert qubit_excitation(psi, space, q) <= norm_sq + 1e-12
 
 
 def test_qubit_index_out_of_range():
-    psi = ground_state(HilbertSpace(2, 1))
+    space = HilbertSpace(2, 1)
     with pytest.raises(ValueError):
-        qubit_excitation(psi.amplitudes, psi.space, 2)
-
-
-def test_statevector_shape_mismatch():
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(3, dtype=complex), HilbertSpace(2, 1))
-
-
-def test_amplitudes_are_read_only():
-    psi = ground_state(HilbertSpace(2, 1))
-    with pytest.raises(ValueError):
-        psi.amplitudes[0] = 0.0
+        qubit_excitation(basis_vector(space, 0), space, 2)
 
 
 def coupling_terms(space):
@@ -165,12 +164,16 @@ def coupling_terms(space):
     while adding one sqrt(n+1).  The Hermitian partners are the transposes.
     """
     terms = []
-    for col, state in enumerate(space.states):
-        n = state.photons
+    states = [
+        (bits, n)
+        for n in range(space.n_max + 1)
+        for bits in itertools.product((0, 1), repeat=space.n_qubits)
+    ]
+    for col, (bits, n) in enumerate(states):
         for q in range(space.n_qubits):
-            if state.qubit_bits[q] == 1:
+            if bits[q] == 1:
                 continue
-            raised = list(state.qubit_bits)
+            raised = list(bits)
             raised[q] = 1
             raised = tuple(raised)
             if n >= 1:

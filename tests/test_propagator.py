@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dlesim import propagator
-from dlesim.hilbert import HilbertSpace, StateVector, basis_vector, ground_state
+from dlesim.hilbert import HilbertSpace, norm
 from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
@@ -28,27 +30,33 @@ def make_params(n_max=2, g_eff=G, n_qubits=2):
     )
 
 
-def evolve_segment(h, dt, state):
-    """exp(-i*H*dt)|state> for one constant Hermitian H."""
+def basis_vector(space, index):
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
+
+
+def evolve_segment(h, dt, psi):
+    """exp(-i*H*dt) psi for one constant Hermitian H."""
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     propagator = _SegmentPropagator(np.asarray(h, dtype=np.complex128))
     if dt == 0.0:
-        return state
-    psi = propagator.advance(state.amplitudes[None, :], np.array([float(dt)]))[0]
-    return StateVector(psi, state.space)
+        return psi
+    return propagator.advance(psi[None, :], np.array([float(dt)]))[0]
 
 
-def walk_oracle(params, schedule, t_final, sample_dt, initial=None):
+def walk_oracle(params, schedule, t_final, sample_dt, initial=0):
     """Reference walk: step sample by sample, splitting every step at the switches.
 
     This is the exact propagator before the shared grid walk, with its own
     tolerance for samples on a switching instant.  Returns (times, amplitudes).
     """
     space = params.space()
-    psi = (ground_state(space) if initial is None else initial).amplitudes.copy()
+    psi = basis_vector(space, initial)
     decompositions = [
-        np.linalg.eigh(hamiltonian_matrix(params, g)) for g in (params.g_eff, 0.0)
+        np.linalg.eigh(hamiltonian_matrix(replace(params, g_eff=g)))
+        for g in (params.g_eff, 0.0)
     ]
 
     def advance(psi, kind, dt):
@@ -77,7 +85,7 @@ def walk_oracle(params, schedule, t_final, sample_dt, initial=None):
     return times, out
 
 
-def max_oracle_gap(params, schedule, t_final, sample_dt, initial=None):
+def max_oracle_gap(params, schedule, t_final, sample_dt, initial=0):
     traj = propagate(params, schedule, t_final, sample_dt, initial)
     times, amplitudes = walk_oracle(params, schedule, t_final, sample_dt, initial)
     assert np.array_equal(traj.times, times)
@@ -87,47 +95,46 @@ def max_oracle_gap(params, schedule, t_final, sample_dt, initial=None):
 class TestEvolveSegment:
     def test_zero_duration_is_identity(self):
         params = make_params()
-        h = hamiltonian_matrix(params, G)
-        psi = ground_state(params.space())
+        h = hamiltonian_matrix(params)
+        psi = basis_vector(params.space(), 0)
         out = evolve_segment(h, 0.0, psi)
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
+        assert np.array_equal(out, psi)
 
     def test_diagonal_hamiltonian_pure_phases(self):
         params = make_params(n_max=1)
-        h = hamiltonian_matrix(params, 0.0)
+        h = hamiltonian_matrix(replace(params, g_eff=0.0))
         space = params.space()
         rng = np.random.default_rng(0)
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         amps /= np.linalg.norm(amps)
-        psi = StateVector(amps, space)
         dt = 0.37
-        out = evolve_segment(h, dt, psi)
+        out = evolve_segment(h, dt, amps)
         expected = amps * np.exp(-1j * np.diag(h).real * dt)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_two_level_rabi_closed_form(self):
         # 2x2 coupling-only block: amplitudes (cos g t, -i sin g t)
         space = HilbertSpace(1, 0)
         g = 0.8
         h = np.array([[0.0, g], [g, 0.0]], dtype=complex)
-        psi = ground_state(space)
+        psi = basis_vector(space, 0)
         for dt in (0.0, 0.3, 1.9):
             out = evolve_segment(h, dt, psi)
-            assert out.amplitudes[0] == pytest.approx(np.cos(g * dt), abs=1e-12)
-            assert out.amplitudes[1] == pytest.approx(-1j * np.sin(g * dt), abs=1e-12)
+            assert out[0] == pytest.approx(np.cos(g * dt), abs=1e-12)
+            assert out[1] == pytest.approx(-1j * np.sin(g * dt), abs=1e-12)
 
     def test_rejects_non_hermitian(self):
         space = HilbertSpace(1, 0)
         h = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            evolve_segment(h, 0.1, ground_state(space))
+            evolve_segment(h, 0.1, basis_vector(space, 0))
 
     def test_norm_preserved(self):
         params = make_params()
-        h = hamiltonian_matrix(params, G)
-        psi = ground_state(params.space())
+        h = hamiltonian_matrix(params)
+        psi = basis_vector(params.space(), 0)
         out = evolve_segment(h, 3.3, psi)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPropagate:
@@ -168,16 +175,16 @@ class TestPropagate:
         schedule = CouplingSchedule.from_switching_frequency(10 * W0)
         t_final = 3.0
         traj = propagate(params, schedule, t_final, t_final)
-        psi = traj.state(len(traj) - 1)
+        psi = traj.amplitudes[-1]
         edges = switching_grid(schedule, t_final)
-        h_on = hamiltonian_matrix(params, params.g_eff)
-        h_off = hamiltonian_matrix(params, 0.0)
+        h_on = hamiltonian_matrix(params)
+        h_off = hamiltonian_matrix(replace(params, g_eff=0.0))
         for k in reversed(range(len(edges) - 1)):
             h = h_on if k % 2 == 0 else h_off
             psi = evolve_segment(-h, float(edges[k + 1] - edges[k]), psi)
         start = np.zeros(params.space().dim, dtype=complex)
         start[0] = 1.0
-        assert np.max(np.abs(psi.amplitudes - start)) <= 1e-8
+        assert np.max(np.abs(psi - start)) <= 1e-8
 
     def test_sampling_grid_independence(self):
         params = make_params()
@@ -191,7 +198,7 @@ class TestPropagate:
         params = make_params()
         schedule = CouplingSchedule(t_period=4.0)
         traj = propagate(params, schedule, 1.9, 0.1)
-        h_on = hamiltonian_matrix(params, params.g_eff)
+        h_on = hamiltonian_matrix(params)
         energies = [
             float(np.real(traj.amplitudes[i].conj() @ h_on @ traj.amplitudes[i]))
             for i in range(len(traj))
@@ -213,6 +220,13 @@ class TestPropagate:
             propagate(params, schedule, -1.0, 0.1)
         with pytest.raises(ValueError):
             propagate(params, schedule, 1.0, 0.0)
+
+    def test_initial_outside_the_basis_rejected(self):
+        params = make_params()
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
+        for initial in (-1, params.space().dim, 1.5):
+            with pytest.raises(ValueError, match="initial"):
+                propagate(params, schedule, 1.0, 0.1, initial)
 
 
 class TestGridWalk:
@@ -239,15 +253,14 @@ class TestGridWalk:
     def test_excited_initial_state(self, ratio):
         params = make_params()
         space = params.space()
-        initial = basis_vector(space, space.index_of((1, 1), 1))
+        initial = space.index_of((1, 1), 1)
         schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
         assert max_oracle_gap(params, schedule, 2.0, 0.013, initial) <= 1e-12
 
     def test_zero_coupling(self):
         params = make_params(g_eff=0.0)
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
-        initial = basis_vector(params.space(), 5)
-        assert max_oracle_gap(params, schedule, 1.0, 0.03, initial) <= 1e-12
+        assert max_oracle_gap(params, schedule, 1.0, 0.03, 5) <= 1e-12
 
     def test_many_segments(self):
         params = make_params(n_max=3)

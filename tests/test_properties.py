@@ -54,10 +54,10 @@ def test_unitary_and_matches_walk_oracle(
 def swap_permutation(space, a, b):
     """Index map of the basis under exchange of qubits a and b."""
     perm = np.empty(space.dim, dtype=int)
-    for i, state in enumerate(space.states):
-        bits = list(state.qubit_bits)
+    states = zip(space.bit_table.tolist(), space.photon_counts.tolist())
+    for i, (bits, photons) in enumerate(states):
         bits[a], bits[b] = bits[b], bits[a]
-        perm[i] = space.index_of(bits, state.photons)
+        perm[i] = space.index_of(bits, photons)
     return perm
 
 
