@@ -1,9 +1,10 @@
 """Dynamics of N qubits coupled to a resonator with switched coupling.
 
-Three independent pipelines compute the same excitation probabilities:
-exact piecewise-constant propagation, a general order-by-order perturbation
-engine over exact exponential-polynomial coefficients, and closed-form
-second-order solutions for the two-qubit case.
+Three independent pipelines compute the same excitation probabilities from
+the same (SystemParams, CouplingSchedule) pair: exact piecewise-constant
+propagation, a general order-by-order perturbation engine over residue
+tables (with ExpPoly, the exact exponential-polynomial algebra, as its
+oracle), and closed-form second-order solutions for the two-qubit case.
 """
 
 import os
@@ -16,7 +17,6 @@ if not any(name in os.environ for name in _THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .closedform2q import (
-    ClosedFormParams,
     ResonanceError,
     alpha1_eg1,
     alpha1_ge1,
@@ -46,7 +46,6 @@ from .model import (
 from .propagator import ConvergenceReport, Trajectory, convergence_check, propagate
 
 __all__ = [
-    "ClosedFormParams",
     "ConvergenceReport",
     "CouplingSchedule",
     "ExpPoly",

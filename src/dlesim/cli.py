@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closedform2q import SPACE, ClosedFormParams, ResonanceError, closedform_state
+from .closedform2q import SPACE, ResonanceError, closedform_state, degenerate
 from .engine import PerturbativeSolution, run_to_order
 from .hilbert import norm, qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
@@ -301,20 +301,10 @@ def _closedform_column(
     config: RunConfig, times: np.ndarray
 ) -> tuple[Optional[np.ndarray], bool]:
     """Closed-form probabilities when the oracle applies, else (None, guard_hit)."""
-    eligible = (
-        config.n_qubits == 2
-        and config.resolved_n_max() >= 1
-        and config.order >= 2
-    )
-    if not eligible:
+    params = config.system_params()
+    if not (params.n_qubits == 2 and params.n_max >= 1 and config.order >= 2):
         return None, False
-    cf_params = ClosedFormParams(
-        omega0=config.omega0,
-        omega_c=config.omega_c,
-        g_eff=config.g_eff,
-        t_period=config.coupling_schedule().t_period,
-    )
-    if cf_params.degenerate:
+    if degenerate(params):
         print(
             "closed-form column skipped: omega0_ghz equals omega_c_ghz, "
             "where the second-order closed form is singular",
@@ -322,7 +312,7 @@ def _closedform_column(
         )
         return None, True
     try:
-        amps = closedform_state(times, cf_params)
+        amps = closedform_state(times, params, config.coupling_schedule())
     except ResonanceError as exc:
         print(f"closed-form column skipped: {exc}", file=sys.stderr)
         return None, True

@@ -8,7 +8,9 @@ switching period they differ from the exact segment-wise solution by terms
 that vanish in the fast-switching limit (e.g. the first-order coefficient
 does not vanish exactly at t = 0).  The module serves as an independent
 oracle for the engine and as the source of the resonance predictions.
-Every coefficient takes a time or an array of times.
+Every coefficient takes a time or an array of times and the (SystemParams,
+CouplingSchedule) pair of the other two pipelines, of which it reads only
+omega0, omega_c, g_eff and t_period: the basis is always ``SPACE``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import HilbertSpace
-from .model import TWO_PI
+from .model import CouplingSchedule, SystemParams
 
 # The (N=2, n_max=1) basis the closed forms live on.
 SPACE = HilbertSpace(2, 1)
@@ -29,6 +31,8 @@ SPACE = HilbertSpace(2, 1)
 EPS_RES = 1e-6
 # Log-spaced switching frequencies of the sign-change scan.
 SCAN_POINTS = 200_000
+# A time in ns, or an array of them.
+Times = float | np.ndarray
 
 
 class ResonanceError(ValueError):
@@ -44,33 +48,9 @@ class ResonanceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Parameters of the two-qubit closed forms; frequencies in rad/ns."""
-
-    omega0: float
-    omega_c: float
-    g_eff: float
-    t_period: float
-
-    def __post_init__(self):
-        if self.omega0 <= 0 or self.omega_c <= 0:
-            raise ValueError("omega0 and omega_c must be > 0")
-        if self.t_period <= 0:
-            raise ValueError(f"t_period must be > 0, got {self.t_period}")
-
-    @property
-    def switching_frequency(self) -> float:
-        return TWO_PI / self.t_period
-
-    @property
-    def omega_sum(self) -> float:
-        return self.omega0 + self.omega_c
-
-    @property
-    def degenerate(self) -> bool:
-        """omega0 = omega_c to 1e-12 relative, where alpha2_ee0 is singular."""
-        return abs(self.omega0 - self.omega_c) < 1e-12 * max(self.omega0, self.omega_c)
+def degenerate(params: SystemParams) -> bool:
+    """omega0 = omega_c to 1e-12 relative, where alpha2_ee0 is singular."""
+    return abs(params.omega0 - params.omega_c) < 1e-12 * max(params.omega0, params.omega_c)
 
 
 # (family name, primary pole as function of params)
@@ -81,7 +61,7 @@ _FAMILIES = (
 )
 
 
-def divergence_locations(p: ClosedFormParams) -> set[float]:
+def divergence_locations(params: SystemParams) -> set[float]:
     """Switching frequencies where the truncated expansion diverges.
 
     Returns {2*omega0, omega0 + omega_c, |omega_c - omega0|}; the difference
@@ -89,7 +69,7 @@ def divergence_locations(p: ClosedFormParams) -> set[float]:
     (omega_c = omega0) place it at 0, which no physical switching frequency
     can reach.  Locations do not depend on the coupling or the period.
     """
-    return {primary(p) for _, primary in _FAMILIES}
+    return {primary(params) for _, primary in _FAMILIES}
 
 
 def _nearest_pole(varpi_s: float, primary: float) -> tuple[Optional[float], int]:
@@ -102,12 +82,12 @@ def _nearest_pole(varpi_s: float, primary: float) -> tuple[Optional[float], int]
     return primary / (2 * m + 1), m
 
 
-def _guard(p: ClosedFormParams, families: tuple[str, ...]) -> None:
-    varpi_s = p.switching_frequency
+def _guard(params: SystemParams, schedule: CouplingSchedule, families: tuple[str, ...]) -> None:
+    varpi_s = schedule.switching_frequency
     for name, primary_fn in _FAMILIES:
         if name not in families:
             continue
-        pole, _ = _nearest_pole(varpi_s, primary_fn(p))
+        pole, _ = _nearest_pole(varpi_s, primary_fn(params))
         if pole is not None and abs(varpi_s - pole) < EPS_RES * pole:
             raise ResonanceError(name, pole, varpi_s)
 
@@ -116,28 +96,28 @@ _SUM_ONLY = ("sum frequency",)
 _ALL_FAMILIES = tuple(name for name, _ in _FAMILIES)
 
 
-def alpha1_ge1(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
+def alpha1_ge1(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """First-order coefficient of the one-excitation, one-photon states."""
-    _guard(p, _SUM_ONLY)
-    omega = p.omega_sum
-    denom = 1.0 + cmath.exp(0.5j * p.t_period * omega)
+    _guard(params, schedule, _SUM_ONLY)
+    omega = params.omega0 + params.omega_c
+    denom = 1.0 + cmath.exp(0.5j * schedule.t_period * omega)
     return (
-        p.g_eff
+        params.g_eff
         / (2.0 * omega)
         * (-1.0 + 2.0 * np.exp(-1j * t * omega) / denom)
     )
 
 
-def alpha1_eg1(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
+def alpha1_eg1(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Identical twin of :func:`alpha1_ge1` for the mirrored qubit."""
-    return alpha1_ge1(t, p)
+    return alpha1_ge1(t, params, schedule)
 
 
-def alpha2_gg0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
+def alpha2_gg0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Second-order coefficient of the initial state, secular term included."""
-    _guard(p, _SUM_ONLY)
-    omega = p.omega_sum
-    ts = p.t_period
+    _guard(params, schedule, _SUM_ONLY)
+    omega = params.omega0 + params.omega_c
+    ts = schedule.t_period
     phase = np.exp(-1j * t * omega)
     tan_q = math.tan(0.25 * ts * omega)
     sec_q = 1.0 / math.cos(0.25 * ts * omega)
@@ -147,20 +127,20 @@ def alpha2_gg0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarr
         + 2.0 * phase
         - 2.0 * sec_q**2
     )
-    return p.g_eff**2 * numerator / (4.0 * omega**2)
+    return params.g_eff**2 * numerator / (4.0 * omega**2)
 
 
-def alpha2_ee0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarray:
+def alpha2_ee0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Second-order coefficient of the doubly excited, zero-photon state."""
-    _guard(p, _ALL_FAMILIES)
-    w0 = p.omega0
-    wc = p.omega_c
-    if p.degenerate:
+    _guard(params, schedule, _ALL_FAMILIES)
+    w0 = params.omega0
+    wc = params.omega_c
+    if degenerate(params):
         raise ValueError(
             "alpha2_ee0 is singular for omega0 = omega_c (degenerate parameters)"
         )
-    omega = p.omega_sum
-    ts = p.t_period
+    omega = w0 + wc
+    ts = schedule.t_period
     tan_sum = math.tan(0.25 * ts * omega)
     tan_diff = math.tan(0.25 * ts * (wc - w0))
     tan_q = math.tan(0.5 * ts * w0)
@@ -171,16 +151,16 @@ def alpha2_ee0(t: float | np.ndarray, p: ClosedFormParams) -> complex | np.ndarr
         / (w0 * (w0 - wc) * omega)
     )
     term3 = 1.0 / (w0**2 + w0 * wc)
-    return 0.25 * p.g_eff**2 * (term1 + term2 + term3)
+    return 0.25 * params.g_eff**2 * (term1 + term2 + term3)
 
 
-def closedform_state(times: float | np.ndarray, p: ClosedFormParams) -> np.ndarray:
+def closedform_state(times: Times, params: SystemParams, schedule: CouplingSchedule) -> np.ndarray:
     """Unnormalized truncated second-order states over ``SPACE``, one row per time."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    alpha1 = alpha1_ge1(times, p)
+    alpha1 = alpha1_ge1(times, params, schedule)
     amps = np.zeros((len(times), SPACE.dim), dtype=np.complex128)
-    amps[:, SPACE.index_of((0, 0), 0)] = 1.0 + alpha2_gg0(times, p)
-    amps[:, SPACE.index_of((1, 1), 0)] = alpha2_ee0(times, p)
+    amps[:, SPACE.index_of((0, 0), 0)] = 1.0 + alpha2_gg0(times, params, schedule)
+    amps[:, SPACE.index_of((1, 1), 0)] = alpha2_ee0(times, params, schedule)
     amps[:, SPACE.index_of((0, 1), 1)] = alpha1
     amps[:, SPACE.index_of((1, 0), 1)] = alpha1
     return amps
@@ -197,9 +177,7 @@ class DivergencePole:
 
 
 def scan_divergence_locations(
-    p: ClosedFormParams,
-    varpi_min: float,
-    varpi_max: float,
+    params: SystemParams, varpi_min: float, varpi_max: float
 ) -> list[DivergencePole]:
     """Locate the resonant denominator zeros by a sign-change scan.
 
@@ -215,7 +193,7 @@ def scan_divergence_locations(
     poles: list[DivergencePole] = []
     for family, primary_fn in _FAMILIES:
         # tan(T * primary / 4) = tan(c / varpi_s)
-        c = 0.5 * math.pi * primary_fn(p)
+        c = 0.5 * math.pi * primary_fn(params)
         if c <= 0:
             continue
         values = np.cos(c / grid)

@@ -309,7 +309,7 @@ def zeroth_order(
     The order-0 response is that free phase on every reachable state.
     """
     space = params.space()
-    initial_index = space.check_initial(initial)
+    initial_index = space.check_index(initial, "initial")
     levels = Levels.of(space.coupling, bare_energies(params, space), initial_index)
     n_states = len(levels.states)
     diagonal = np.arange(n_states)

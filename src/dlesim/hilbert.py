@@ -54,16 +54,18 @@ class HilbertSpace:
 
     def label(self, index: int) -> str:
         """Basis state ``index`` as text, qubits then photons: e.g. |eg,1>."""
+        index = self.check_index(index)
         bits = "".join("ge"[bit] for bit in self.bit_table[index])
         return f"|{bits},{self.photon_counts[index]}>"
 
-    def check_initial(self, initial: int) -> int:
-        """The initial state's basis index, or ValueError unless it is in [0, dim)."""
-        if not (isinstance(initial, numbers.Integral) and 0 <= initial < self.dim):
-            raise ValueError(
-                f"initial must be a basis index in [0, {self.dim - 1}], got {initial!r}"
-            )
-        return int(initial)
+    def check_index(self, index: int, name: str = "index") -> int:
+        """``index`` as an int, or ValueError naming ``name`` unless it is an
+        integer in [0, dim); a bool is not an index."""
+        if isinstance(index, bool) or not (
+            isinstance(index, numbers.Integral) and 0 <= index < self.dim
+        ):
+            raise ValueError(f"{name} must be a basis index in [0, {self.dim - 1}], got {index!r}")
+        return int(index)
 
     def __repr__(self):
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"

@@ -44,12 +44,11 @@ class SystemParams:
     n_max: int
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
-        if self.g_eff < 0:
-            raise ValueError(f"g_eff must be >= 0, got {self.g_eff}")
+        for name in ("omega0", "omega_c"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.g_eff < math.inf:
+            raise ValueError(f"g_eff must be finite and >= 0, got {self.g_eff}")
         if self.g_eff >= self.omega0 or self.g_eff >= self.omega_c:
             raise ValueError(
                 "perturbative validity requires g_eff < omega0 and g_eff < omega_c; "

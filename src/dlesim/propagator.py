@@ -95,7 +95,7 @@ def propagate(
     """Exact evolution from basis state ``initial``, sampled at multiples of sample_dt."""
     space = params.space()
     first = np.zeros(space.dim, dtype=np.complex128)
-    first[space.check_initial(initial)] = 1.0
+    first[space.check_index(initial, "initial")] = 1.0
 
     coupled = _SegmentPropagator(hamiltonian_matrix(params))
     energies = bare_energies(params, space)
@@ -134,27 +134,23 @@ def convergence_check(
     params: SystemParams,
     schedule: CouplingSchedule,
     t_final: float,
-    n_max: int,
     qubit_index: int = 0,
     sample_dt: Optional[float] = None,
     threshold: float = 1e-4,
 ) -> ConvergenceReport:
-    """Compare excitation probabilities at cutoffs n_max and n_max + 1."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    """Compare excitation probabilities at cutoffs params.n_max and n_max + 1."""
+    if params.n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {params.n_max}")
     if sample_dt is None:
         sample_dt = t_final / 1000.0
-    base = replace(params, n_max=n_max)
-    bigger = replace(params, n_max=n_max + 1)
-    p_base = propagate(base, schedule, t_final, sample_dt).excitation_probabilities(
-        qubit_index
+    bigger = replace(params, n_max=params.n_max + 1)
+    p_base, p_bigger = (
+        propagate(p, schedule, t_final, sample_dt).excitation_probabilities(qubit_index)
+        for p in (params, bigger)
     )
-    p_bigger = propagate(
-        bigger, schedule, t_final, sample_dt
-    ).excitation_probabilities(qubit_index)
     sup = float(np.max(np.abs(p_base - p_bigger)))
     return ConvergenceReport(
-        n_max=n_max,
+        n_max=params.n_max,
         sup_difference=sup,
         threshold=threshold,
         converged=sup <= threshold,

@@ -22,7 +22,6 @@ from scipy.integrate import quad
 
 from dlesim.cli import RunConfig, cmd_compare
 from dlesim.closedform2q import (
-    ClosedFormParams,
     alpha1_eg1,
     alpha1_ge1,
     alpha2_ee0,
@@ -154,8 +153,8 @@ def test_a4_divergence_scaling():
     values = []
     for eps in (1e-2, 1e-3, 1e-4):
         varpi = 2 * W0 * (1 + eps)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
-        values.append(abs(alpha2_ee0(1.0, p)))
+        schedule = CouplingSchedule.from_switching_frequency(varpi)
+        values.append(abs(alpha2_ee0(1.0, paper_params(n_max=1), schedule)))
     ratios = [large / small for small, large in zip(values, values[1:])]
     check(
         "A4 inverse-detuning scaling",
@@ -171,10 +170,7 @@ def test_a5_divergence_locations():
     the scan window extends below it (0.05*omega0); the stated lower edge of
     0.5*omega0 cannot bracket that family's sign changes.
     """
-    p = ClosedFormParams(
-        omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / (20 * W0)
-    )
-    poles = scan_divergence_locations(p, 0.05 * W0, 25 * W0)
+    poles = scan_divergence_locations(paper_params(n_max=1), 0.05 * W0, 25 * W0)
     expected = {
         "twice qubit frequency": 2 * W0,
         "sum frequency": OMEGA_SUM,
@@ -198,9 +194,6 @@ def test_a6_engine_vs_closedform():
     ratio = 200.0
     schedule = schedule_at_ratio(ratio)
     params = paper_params(n_max=1)
-    cf = ClosedFormParams(
-        omega0=W0, omega_c=WC, g_eff=G, t_period=schedule.t_period
-    )
     solution = run_to_order(params, schedule, 2, 5.0)
     space = solution.space
     times = np.linspace(0.0, 5.0, 400)
@@ -216,7 +209,7 @@ def test_a6_engine_vs_closedform():
         a_engine = np.array(
             [solution.coefficient(order, idx, float(t)) for t in times]
         )
-        a_closed = np.array([closed_form(float(t), cf) for t in times])
+        a_closed = np.array([closed_form(float(t), params, schedule) for t in times])
         sup = float(np.abs(a_engine - a_closed).max())
         scale = float(np.abs(a_engine).max())
         ok = ok and sup <= 0.05 * scale

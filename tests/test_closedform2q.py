@@ -6,7 +6,6 @@ import pytest
 
 from dlesim.closedform2q import (
     SPACE,
-    ClosedFormParams,
     ResonanceError,
     alpha1_eg1,
     alpha1_ge1,
@@ -17,7 +16,7 @@ from dlesim.closedform2q import (
     scan_divergence_locations,
 )
 from dlesim.hilbert import qubit_excitation
-from dlesim.model import TWO_PI
+from dlesim.model import TWO_PI, CouplingSchedule, SystemParams
 
 W0 = TWO_PI * 5.439
 WC = TWO_PI * 4.343
@@ -94,6 +93,15 @@ def mp_alpha2_ee0(t, ratio):
         return complex(g0**2 * (term1 + term2 + term3) / 4)
 
 
+def make_params(ratio=20.0, g_eff=G, omega0=W0, omega_c=WC, t_period=None):
+    """(params, schedule) at N=2, n_max=1, with period 2*pi/(ratio*omega0)
+    unless ``t_period`` is given."""
+    params = SystemParams(omega0=omega0, omega_c=omega_c, g_eff=g_eff, n_qubits=2, n_max=1)
+    if t_period is None:
+        t_period = TWO_PI / (ratio * omega0)
+    return params, CouplingSchedule(t_period=t_period)
+
+
 def test_frozen_constants_match_high_precision_oracle():
     assert mp_alpha1(1.0, 20.0) == pytest.approx(A1_RATIO20_T1, rel=1e-15)
     assert mp_alpha2_gg0(1.0, 20.0) == pytest.approx(GG0_RATIO20_T1, rel=1e-15)
@@ -102,70 +110,54 @@ def test_frozen_constants_match_high_precision_oracle():
 
 def test_implementation_tracks_oracle_on_a_grid():
     for ratio in (7.0, 20.0, 60.0):
-        p = ClosedFormParams(
-            omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / (ratio * W0)
-        )
+        p = make_params(ratio=ratio)
         for t in (0.0, 0.31, 1.0, 2.7):
-            assert alpha1_ge1(t, p) == pytest.approx(mp_alpha1(t, ratio), rel=1e-11)
-            assert alpha2_gg0(t, p) == pytest.approx(
+            assert alpha1_ge1(t, *p) == pytest.approx(mp_alpha1(t, ratio), rel=1e-11)
+            assert alpha2_gg0(t, *p) == pytest.approx(
                 mp_alpha2_gg0(t, ratio), rel=1e-11
             )
-            assert alpha2_ee0(t, p) == pytest.approx(
+            assert alpha2_ee0(t, *p) == pytest.approx(
                 mp_alpha2_ee0(t, ratio), rel=1e-10
             )
-
-
-def make_params(ratio=20.0, g_eff=G, omega0=W0, omega_c=WC):
-    return ClosedFormParams(
-        omega0=omega0,
-        omega_c=omega_c,
-        g_eff=g_eff,
-        t_period=TWO_PI / (ratio * omega0),
-    )
 
 
 class TestAlpha1:
     def test_high_frequency_limit_is_time_averaged(self):
         # T -> 0 reduces to the constant-coupling solution at half amplitude
-        p = ClosedFormParams(
-            omega0=W0,
-            omega_c=WC,
-            g_eff=G,
-            t_period=1e-9 * TWO_PI / OMEGA_SUM,
-        )
+        p = make_params(t_period=1e-9 * TWO_PI / OMEGA_SUM)
         for t in (0.0, 0.4, 1.3):
             expected = G / (2 * OMEGA_SUM) * (cmath.exp(-1j * OMEGA_SUM * t) - 1)
             # the residual t=0 offset scales with the (tiny) remaining period
-            assert alpha1_ge1(t, p) == pytest.approx(expected, rel=1e-7, abs=1e-11)
+            assert alpha1_ge1(t, *p) == pytest.approx(expected, rel=1e-7, abs=1e-11)
 
     def test_twins_identical(self):
         p = make_params(ratio=7.3)
         for t in np.linspace(0, 2, 9):
-            assert alpha1_ge1(float(t), p) == alpha1_eg1(float(t), p)
+            assert alpha1_ge1(float(t), *p) == alpha1_eg1(float(t), *p)
 
     def test_triangle_inequality_bound(self):
-        p = make_params(ratio=9.1)
-        denom = abs(1 + cmath.exp(0.5j * p.t_period * OMEGA_SUM))
+        params, schedule = make_params(ratio=9.1)
+        denom = abs(1 + cmath.exp(0.5j * schedule.t_period * OMEGA_SUM))
         bound = G / (2 * OMEGA_SUM) * (1 + 2 / denom)
         for t in np.linspace(0, 3, 50):
-            assert abs(alpha1_ge1(float(t), p)) <= bound * (1 + 1e-12)
+            assert abs(alpha1_ge1(float(t), params, schedule)) <= bound * (1 + 1e-12)
 
     def test_nonzero_at_time_zero_for_finite_period(self):
         # the printed form drops the switching-pole residues, so it does not
         # vanish at t = 0 at finite period; the engine is the exact reference
         p = make_params(ratio=10.0)
-        assert abs(alpha1_ge1(0.0, p)) > 1e-5
+        assert abs(alpha1_ge1(0.0, *p)) > 1e-5
 
     def test_frozen_spot_value(self):
         p = make_params(ratio=20.0)
-        assert alpha1_ge1(1.0, p) == pytest.approx(A1_RATIO20_T1, rel=1e-12)
+        assert alpha1_ge1(1.0, *p) == pytest.approx(A1_RATIO20_T1, rel=1e-12)
 
 
 class TestAlpha2Gg0:
     def test_secular_linear_growth(self):
         p = make_params(ratio=20.0)
         t0 = 50.0
-        diff = alpha2_gg0(2 * t0, p) - alpha2_gg0(t0, p)
+        diff = alpha2_gg0(2 * t0, *p) - alpha2_gg0(t0, *p)
         secular = 1j * G**2 * t0 / (2 * OMEGA_SUM)
         assert abs(diff - secular) <= 0.01 * abs(secular)
 
@@ -173,17 +165,15 @@ class TestAlpha2Gg0:
         p1 = make_params(g_eff=G)
         p2 = make_params(g_eff=2 * G)
         for t in (0.3, 1.7):
-            assert alpha2_gg0(t, p2) == pytest.approx(4 * alpha2_gg0(t, p1), rel=1e-12)
+            assert alpha2_gg0(t, *p2) == pytest.approx(4 * alpha2_gg0(t, *p1), rel=1e-12)
 
     def test_frozen_spot_value(self):
         p = make_params(ratio=20.0)
-        assert alpha2_gg0(1.0, p) == pytest.approx(GG0_RATIO20_T1, rel=1e-12)
+        assert alpha2_gg0(1.0, *p) == pytest.approx(GG0_RATIO20_T1, rel=1e-12)
 
     def test_vanishes_at_origin_in_fast_limit(self):
-        p = ClosedFormParams(
-            omega0=W0, omega_c=WC, g_eff=G, t_period=1e-10 * TWO_PI / OMEGA_SUM
-        )
-        assert abs(alpha2_gg0(0.0, p)) <= 1e-12 * G**2 / OMEGA_SUM**2
+        p = make_params(t_period=1e-10 * TWO_PI / OMEGA_SUM)
+        assert abs(alpha2_gg0(0.0, *p)) <= 1e-12 * G**2 / OMEGA_SUM**2
 
 
 class TestAlpha2Ee0:
@@ -191,10 +181,8 @@ class TestAlpha2Ee0:
         values = []
         for eps in (1e-2, 1e-3, 1e-4):
             varpi = 2 * W0 * (1 + eps)
-            p = ClosedFormParams(
-                omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi
-            )
-            values.append(abs(alpha2_ee0(1.0, p)))
+            p = make_params(t_period=TWO_PI / varpi)
+            values.append(abs(alpha2_ee0(1.0, *p)))
         for small, large in zip(values, values[1:]):
             assert 5.0 <= large / small <= 20.0
 
@@ -202,66 +190,56 @@ class TestAlpha2Ee0:
         p1 = make_params(g_eff=G)
         p2 = make_params(g_eff=2 * G)
         for t in (0.4, 2.2):
-            assert alpha2_ee0(t, p2) == pytest.approx(4 * alpha2_ee0(t, p1), rel=1e-12)
+            assert alpha2_ee0(t, *p2) == pytest.approx(4 * alpha2_ee0(t, *p1), rel=1e-12)
 
     def test_frozen_spot_value(self):
         p = make_params(ratio=10.0)
-        assert alpha2_ee0(1.0, p) == pytest.approx(EE0_RATIO10_T1, rel=1e-12)
+        assert alpha2_ee0(1.0, *p) == pytest.approx(EE0_RATIO10_T1, rel=1e-12)
 
     def test_degenerate_frequencies_rejected(self):
-        p = ClosedFormParams(omega0=W0, omega_c=W0, g_eff=G, t_period=0.01)
+        p = make_params(omega_c=W0, t_period=0.01)
         with pytest.raises(ValueError):
-            alpha2_ee0(0.5, p)
+            alpha2_ee0(0.5, *p)
 
 
 class TestGuards:
     @pytest.mark.parametrize("primary", [2 * W0, OMEGA_SUM])
     def test_resonance_refused_inside_band(self, primary):
         varpi = primary * (1 + 1e-8)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
+        p = make_params(t_period=TWO_PI / varpi)
         with pytest.raises(ResonanceError):
-            alpha2_ee0(1.0, p)
+            alpha2_ee0(1.0, *p)
 
     def test_alias_poles_also_guarded(self):
         varpi = (2 * W0 / 3) * (1 + 1e-8)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
+        p = make_params(t_period=TWO_PI / varpi)
         with pytest.raises(ResonanceError):
-            alpha2_ee0(1.0, p)
+            alpha2_ee0(1.0, *p)
 
     def test_evaluation_allowed_outside_band(self):
         varpi = 2 * W0 * (1 + 1e-4)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
-        alpha2_ee0(1.0, p)
+        p = make_params(t_period=TWO_PI / varpi)
+        alpha2_ee0(1.0, *p)
 
     def test_sum_guard_only_for_first_order(self):
         # alpha1 carries only the sum-frequency denominator
         varpi = 2 * W0 * (1 + 1e-8)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
-        alpha1_ge1(1.0, p)
+        p = make_params(t_period=TWO_PI / varpi)
+        alpha1_ge1(1.0, *p)
         with pytest.raises(ResonanceError):
-            alpha1_ge1(
-                1.0,
-                ClosedFormParams(
-                    omega0=W0,
-                    omega_c=WC,
-                    g_eff=G,
-                    t_period=TWO_PI / (OMEGA_SUM * (1 + 1e-8)),
-                ),
-            )
+            alpha1_ge1(1.0, *make_params(t_period=TWO_PI / (OMEGA_SUM * (1 + 1e-8))))
 
 
 class TestClosedFormState:
     def test_one_photon_amplitudes_vanish_at_origin_fast_limit(self):
-        p = ClosedFormParams(
-            omega0=W0, omega_c=WC, g_eff=G, t_period=1e-9 * TWO_PI / OMEGA_SUM
-        )
-        (row,) = closedform_state(0.0, p)
+        p = make_params(t_period=1e-9 * TWO_PI / OMEGA_SUM)
+        (row,) = closedform_state(0.0, *p)
         for bits in ((0, 1), (1, 0)):
             assert abs(row[SPACE.index_of(bits, 1)]) <= 1e-9 * G
 
     def test_mirror_amplitudes_equal(self):
         p = make_params(ratio=8.0)
-        rows = closedform_state(np.array([0.0, 0.9, 2.4]), p)
+        rows = closedform_state(np.array([0.0, 0.9, 2.4]), *p)
         assert rows.shape == (3, SPACE.dim)
         for row in rows:
             assert row[SPACE.index_of((0, 1), 1)] == row[SPACE.index_of((1, 0), 1)]
@@ -270,11 +248,11 @@ class TestClosedFormState:
         # any split of the coupling into bookkeeping-parameter times amplitude
         # with the same product gives the same state
         p1 = make_params(g_eff=G)
-        (row1,) = closedform_state(1.1, p1)
-        (row2,) = closedform_state(1.1, make_params(g_eff=G))
+        (row1,) = closedform_state(1.1, *p1)
+        (row2,) = closedform_state(1.1, *make_params(g_eff=G))
         assert np.array_equal(row1, row2)
         # homogeneity orders: alpha1 ~ g, alpha2 ~ g^2
-        (row_double,) = closedform_state(1.1, make_params(g_eff=2 * G))
+        (row_double,) = closedform_state(1.1, *make_params(g_eff=2 * G))
         ge1 = SPACE.index_of((0, 1), 1)
         ee0 = SPACE.index_of((1, 1), 0)
         assert row_double[ge1] == pytest.approx(2 * row1[ge1], rel=1e-12)
@@ -283,13 +261,13 @@ class TestClosedFormState:
     def test_rows_match_scalar_coefficients(self):
         p = make_params(ratio=8.0)
         times = np.linspace(0.0, 3.0, 7)
-        rows = closedform_state(times, p)
+        rows = closedform_state(times, *p)
         for t, row in zip(times, rows):
             t = float(t)
             expected = {
-                ((0, 0), 0): 1.0 + alpha2_gg0(t, p),
-                ((1, 1), 0): alpha2_ee0(t, p),
-                ((0, 1), 1): alpha1_ge1(t, p),
+                ((0, 0), 0): 1.0 + alpha2_gg0(t, *p),
+                ((1, 1), 0): alpha2_ee0(t, *p),
+                ((0, 1), 1): alpha1_ge1(t, *p),
             }
             for (bits, photons), value in expected.items():
                 # array and scalar exp may differ in the last bit
@@ -302,14 +280,14 @@ class TestBreakdownDiagnostic:
         # twice-qubit-frequency pole its excitation probability blows past 1;
         # 2e-5 relative detuning sits outside the 1e-6 guard band
         varpi = 2 * W0 * (1 + 2e-5)
-        p = ClosedFormParams(omega0=W0, omega_c=WC, g_eff=G, t_period=TWO_PI / varpi)
-        rows = closedform_state(np.linspace(0.0, 2.0, 80), p)
+        p = make_params(t_period=TWO_PI / varpi)
+        rows = closedform_state(np.linspace(0.0, 2.0, 80), *p)
         assert qubit_excitation(rows, SPACE, 0).max() > 1.0
 
 
 class TestDivergenceLocations:
     def test_paper_parameter_values(self):
-        locs = sorted(divergence_locations(make_params()))
+        locs = sorted(divergence_locations(make_params()[0]))
         expected = sorted([2 * W0, OMEGA_SUM, W0 - WC])
         for got, want in zip(locs, expected):
             assert got == pytest.approx(want, rel=1e-12)
@@ -318,12 +296,12 @@ class TestDivergenceLocations:
         assert locs[2] == pytest.approx(TWO_PI * 10.878, rel=1e-12)
 
     def test_degenerate_difference_flagged_at_zero(self):
-        p = ClosedFormParams(omega0=W0, omega_c=W0, g_eff=G, t_period=0.01)
-        assert 0.0 in divergence_locations(p)
+        params, _ = make_params(omega_c=W0, t_period=0.01)
+        assert 0.0 in divergence_locations(params)
 
     def test_independent_of_coupling_and_period(self):
-        a = divergence_locations(make_params(ratio=5.0, g_eff=G))
-        b = divergence_locations(make_params(ratio=50.0, g_eff=3 * G))
+        a = divergence_locations(make_params(ratio=5.0, g_eff=G)[0])
+        b = divergence_locations(make_params(ratio=50.0, g_eff=3 * G)[0])
         assert a == b
 
 
@@ -332,8 +310,8 @@ class TestScan:
         # over (0.5*w0, 25*w0) only the 2*w0 and sum families have zeros:
         # their primaries plus one /3 alias each; the difference family's
         # poles all sit below 0.5*w0
-        p = make_params()
-        poles = scan_divergence_locations(p, 0.5 * W0, 25 * W0)
+        params, _ = make_params()
+        poles = scan_divergence_locations(params, 0.5 * W0, 25 * W0)
         roots = sorted(pole.varpi_s for pole in poles)
         expected_roots = sorted([2 * W0, 2 * W0 / 3, OMEGA_SUM, OMEGA_SUM / 3])
         assert len(roots) == 4
@@ -345,8 +323,8 @@ class TestScan:
         assert "difference frequency" not in primaries
 
     def test_extended_window_recovers_all_three_primaries(self):
-        p = make_params()
-        poles = scan_divergence_locations(p, 0.05 * W0, 25 * W0)
+        params, _ = make_params()
+        poles = scan_divergence_locations(params, 0.05 * W0, 25 * W0)
         found = {}
         for pole in poles:
             found.setdefault(pole.family, []).append(pole.primary)
@@ -361,8 +339,8 @@ class TestScan:
             ), family
 
     def test_alias_orders_recorded(self):
-        p = make_params()
-        poles = scan_divergence_locations(p, 0.5 * W0, 25 * W0)
+        params, _ = make_params()
+        poles = scan_divergence_locations(params, 0.5 * W0, 25 * W0)
         orders = {
             (pole.family, pole.alias_order) for pole in poles
         }
@@ -380,20 +358,16 @@ class TestRandomDrawInvariants:
                 continue
             ratio = rng.uniform(3.0, 40.0)
             g = rng.uniform(0.01, 0.5)
-            p = ClosedFormParams(
-                omega0=w0, omega_c=wc, g_eff=g, t_period=TWO_PI / (ratio * w0)
-            )
-            p2 = ClosedFormParams(
-                omega0=w0, omega_c=wc, g_eff=2 * g, t_period=TWO_PI / (ratio * w0)
-            )
+            p = make_params(ratio=ratio, g_eff=g, omega0=w0, omega_c=wc)
+            p2 = make_params(ratio=ratio, g_eff=2 * g, omega0=w0, omega_c=wc)
             t = float(rng.uniform(0, 2))
             try:
-                assert alpha1_ge1(t, p) == alpha1_eg1(t, p)
-                assert alpha2_gg0(t, p2) == pytest.approx(
-                    4 * alpha2_gg0(t, p), rel=1e-12
+                assert alpha1_ge1(t, *p) == alpha1_eg1(t, *p)
+                assert alpha2_gg0(t, *p2) == pytest.approx(
+                    4 * alpha2_gg0(t, *p), rel=1e-12
                 )
-                assert alpha2_ee0(t, p2) == pytest.approx(
-                    4 * alpha2_ee0(t, p), rel=1e-12
+                assert alpha2_ee0(t, *p2) == pytest.approx(
+                    4 * alpha2_ee0(t, *p), rel=1e-12
                 )
             except ResonanceError:
                 continue

@@ -158,7 +158,7 @@ class TestRunToOrder:
 
     def test_rejects_initial_outside_the_basis(self):
         params = make_params()
-        for initial in (-1, params.space().dim, 1.5):
+        for initial in (-1, params.space().dim, 1.5, True):
             with pytest.raises(ValueError, match="initial"):
                 run_to_order(params, make_schedule(), 2, 1.0, initial)
 

@@ -78,6 +78,13 @@ def test_index_of_inverts_enumeration():
             assert space.label(k) == "|" + "".join("ge"[b] for b in bits) + f",{photons}>"
 
 
+@pytest.mark.parametrize("index", [-1, 12, True, 1.0])
+def test_label_rejects_what_is_not_a_basis_index(index):
+    # dim is 12 at N=2, n_max=2; -1 would otherwise wrap to the last state
+    with pytest.raises(ValueError, match="index"):
+        HilbertSpace(2, 2).label(index)
+
+
 def test_index_of_examples():
     space = HilbertSpace(2, 1)
     assert space.index_of((0, 0), 0) == 0

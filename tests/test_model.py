@@ -44,6 +44,12 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(omega0=W0, omega_c=-1.0, g_eff=G, n_qubits=2, n_max=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["omega0", "omega_c", "g_eff"])
+    def test_rejects_non_finite_physics(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            replace(make_params(), **{field: value})
+
     def test_rejects_strong_coupling(self):
         with pytest.raises(ValueError):
             SystemParams(omega0=W0, omega_c=WC, g_eff=2 * WC, n_qubits=2, n_max=1)

@@ -224,7 +224,7 @@ class TestPropagate:
     def test_initial_outside_the_basis_rejected(self):
         params = make_params()
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
-        for initial in (-1, params.space().dim, 1.5):
+        for initial in (-1, params.space().dim, 1.5, True):
             with pytest.raises(ValueError, match="initial"):
                 propagate(params, schedule, 1.0, 0.1, initial)
 
@@ -302,14 +302,14 @@ class TestConvergenceCheck:
     def test_zero_coupling_zero_difference(self):
         params = make_params(g_eff=0.0, n_max=1)
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
-        report = convergence_check(params, schedule, 2.0, 1)
+        report = convergence_check(params, schedule, 2.0)
         assert report.sup_difference == 0.0
         assert report.converged
 
     def test_paper_parameters_converged_at_two_photons(self):
         params = make_params(n_max=2)
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
-        report = convergence_check(params, schedule, 5.0, 2)
+        report = convergence_check(params, schedule, 5.0)
         assert report.sup_difference < 1e-3
         assert report.converged
 
@@ -318,12 +318,12 @@ class TestConvergenceCheck:
         sups = []
         for n_max in (1, 2, 3):
             params = make_params(n_max=n_max)
-            report = convergence_check(params, schedule, 3.0, n_max)
+            report = convergence_check(params, schedule, 3.0)
             sups.append(report.sup_difference)
         assert sups[0] >= sups[1] >= sups[2]
 
     def test_rejects_zero_cutoff(self):
-        params = make_params(n_max=1)
+        params = make_params(n_max=0)
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         with pytest.raises(ValueError):
-            convergence_check(params, schedule, 1.0, 0)
+            convergence_check(params, schedule, 1.0)
