@@ -43,10 +43,9 @@ from .model import (
     laplace_coupling,
     switching_grid,
 )
-from .propagator import ConvergenceReport, Trajectory, convergence_check, propagate
+from .propagator import Trajectory, convergence_check, propagate
 
 __all__ = [
-    "ConvergenceReport",
     "CouplingSchedule",
     "ExpPoly",
     "HilbertSpace",

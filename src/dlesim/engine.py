@@ -31,12 +31,13 @@ import numpy as np
 
 from .exppoly import PRUNE_REL_TOL, RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import norm, qubit_excitation
+from .hilbert import check_integer, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
     SystemParams,
     bare_energies,
+    check_positive,
     row_products,
     switching_grid,
 )
@@ -193,8 +194,7 @@ class PerturbativeSolution:
         levels: Levels,
         tables: tuple[OrderTable, ...],
     ):
-        if t_final <= 0:
-            raise ValueError(f"t_final must be > 0, got {t_final}")
+        check_positive(t_final, "t_final")
         self.params = params
         self.schedule = schedule
         self.space = params.space()
@@ -205,11 +205,6 @@ class PerturbativeSolution:
     @property
     def order(self) -> int:
         return len(self.tables) - 1
-
-    @property
-    def states(self) -> np.ndarray:
-        """Indices of the states reachable from the initial state."""
-        return self.levels.states
 
     @property
     def dropped_couplings(self) -> tuple[int, ...]:
@@ -245,14 +240,14 @@ class PerturbativeSolution:
         orders = range(len(blocks))
         on_map = np.block([[blocks[j - i] if j >= i else zero for j in orders] for i in orders])
         first = np.zeros(len(on_map), dtype=np.complex128)
-        first[np.searchsorted(self.states, self.support(0))] = 1.0
+        first[np.searchsorted(self.levels.states, self.support(0))] = 1.0
         energies = np.tile(self.levels.energies, len(self.tables))
         edges = switching_grid(self.schedule, self.t_final)
         return SegmentWalk(self.schedule, edges, first, on_map, energies)
 
     def _evaluate(self, times: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Sum of the coefficients of orders lo..hi, shape (len(times), dim)."""
-        states = self.states
+        states = self.levels.states
         free_rates = -1j * self.levels.energies
         out = np.zeros((len(times), self.space.dim), dtype=np.complex128)
         widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
@@ -270,30 +265,27 @@ class PerturbativeSolution:
         return out
 
     def coefficient(self, order: int, state_index: int, t: float) -> complex:
-        """alpha^(order) for one basis state at time t."""
-        if state_index not in self.support(order):
-            return 0j
+        """alpha^(order) for one basis state at time t; exactly 0 off the order's support."""
+        order = check_integer(order, "order", 0, self.order)
+        state_index = self.space.check_index(state_index, "state_index")
         return complex(self._evaluate(np.array([float(t)]), order, order)[0, state_index])
 
     def amplitudes_at(
-        self, times: np.ndarray, max_order: Optional[int] = None
+        self, times: Union[float, np.ndarray], max_order: Optional[int] = None
     ) -> np.ndarray:
-        """Summed coefficients of orders 0..max_order, one row per time: (S, dim)."""
-        if max_order is None or max_order > self.order:
-            max_order = self.order
-        return self._evaluate(np.asarray(times, dtype=float).reshape(-1), 0, max_order)
-
-    def amplitudes(self, t: float, max_order: Optional[int] = None) -> np.ndarray:
-        """Summed coefficients of orders 0..max_order at time t, one per basis state."""
-        return self.amplitudes_at(np.array([float(t)]), max_order)[0]
+        """Summed coefficients of orders 0..max_order (default all):
+        (dim,) for a scalar time, one row per time (S, dim) for an array."""
+        max_order = check_integer(
+            self.order if max_order is None else max_order, "max_order", 0, self.order
+        )
+        times = np.asarray(times, dtype=float)
+        amplitudes = self._evaluate(times.reshape(-1), 0, max_order)
+        return amplitudes[0] if times.ndim == 0 else amplitudes
 
     def excitation_probability(
         self, qubit_index: int, t: Union[float, np.ndarray]
     ) -> Union[float, np.ndarray]:
         return pert_excitation_probability(self, qubit_index, t)
-
-    def norm(self, t: float) -> float:
-        return float(norm(self.amplitudes(t)))
 
 
 def zeroth_order(
@@ -396,8 +388,7 @@ def run_to_order(
     initial: int = 0,
 ) -> PerturbativeSolution:
     """Iterate the recursion up to order j_max over the grid covering [0, t_final]."""
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    j_max = check_integer(j_max, "j_max", 0)
     solution = zeroth_order(params, schedule, t_final, initial)
     for _ in range(j_max):
         solution = solution.extended(next_order(solution))
@@ -416,7 +407,4 @@ def pert_excitation_probability(
     deliberately not renormalized: probabilities exceeding the weak-drive
     scale near a resonance are the breakdown diagnostic, not an error.
     """
-    times = np.asarray(t, dtype=float)
-    amps = solution.amplitudes_at(times.reshape(-1))
-    probabilities = qubit_excitation(amps, solution.space, qubit_index)
-    return float(probabilities[0]) if times.ndim == 0 else probabilities
+    return qubit_excitation(solution.amplitudes_at(t), solution.space, qubit_index)

@@ -141,10 +141,6 @@ class ExpPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_rows(self) -> list[tuple[float, float, int, float, float]]:
-        """Debug serialization: (c_re, c_im, k, lam_re, lam_im) rows."""
-        return [(c.real, c.imag, k, lam.real, lam.imag) for c, k, lam in self.terms]
-
     def __len__(self) -> int:
         return len(self.terms)
 

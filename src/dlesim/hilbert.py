@@ -9,7 +9,7 @@ index = photons * 2^N + bit code, so |gg...g,0> is always index 0.
 from __future__ import annotations
 
 import numbers
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,10 +47,9 @@ class HilbertSpace:
         bits = tuple(bits)
         if len(bits) != self.n_qubits or any(bit not in (0, 1) for bit in bits):
             raise ValueError(f"need {self.n_qubits} qubit bits of 0 or 1, got {bits}")
-        if not (isinstance(photons, numbers.Integral) and 0 <= photons <= self.n_max):
-            raise ValueError(f"photons must be an integer in [0, {self.n_max}], got {photons!r}")
+        photons = check_integer(photons, "photons", 0, self.n_max)
         code = sum(int(bit) << (self.n_qubits - 1 - q) for q, bit in enumerate(bits))
-        return int(photons) * 2**self.n_qubits + code
+        return photons * 2**self.n_qubits + code
 
     def label(self, index: int) -> str:
         """Basis state ``index`` as text, qubits then photons: e.g. |eg,1>."""
@@ -59,16 +58,23 @@ class HilbertSpace:
         return f"|{bits},{self.photon_counts[index]}>"
 
     def check_index(self, index: int, name: str = "index") -> int:
-        """``index`` as an int, or ValueError naming ``name`` unless it is an
-        integer in [0, dim); a bool is not an index."""
-        if isinstance(index, bool) or not (
-            isinstance(index, numbers.Integral) and 0 <= index < self.dim
-        ):
-            raise ValueError(f"{name} must be a basis index in [0, {self.dim - 1}], got {index!r}")
-        return int(index)
+        """``index`` as an int, or ValueError naming ``name`` unless it is a
+        basis index, an integer in [0, dim)."""
+        return check_integer(index, name, 0, self.dim - 1)
 
     def __repr__(self):
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"
+
+
+def check_integer(value: int, name: str, lo: int, hi: Optional[int] = None) -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is an
+    integer in [lo, hi] (no upper bound when ``hi`` is None); a bool is not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)
+    ):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 def _unit_coupling(photons: np.ndarray, codes: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -101,10 +107,7 @@ def qubit_excitation(
     result has the leading shape.  Each row is reduced on its own, as in
     ``norm``, so its bits do not depend on the batch.  Not renormalized.
     """
-    if not 0 <= qubit_index < space.n_qubits:
-        raise ValueError(
-            f"qubit_index={qubit_index} outside [0, {space.n_qubits - 1}]"
-        )
+    qubit_index = check_integer(qubit_index, "qubit_index", 0, space.n_qubits - 1)
     weights = np.abs(amplitudes) ** 2
     weights *= space.bit_table[:, qubit_index]
     return weights.sum(axis=-1)

@@ -28,6 +28,12 @@ class LaplacePoleError(ValueError):
 _POLE_TOL = 1e-9
 
 
+def check_positive(value: float, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is finite and > 0 (nan is not)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Qubit/cavity frequencies and effective coupling, in rad/ns.
@@ -44,9 +50,8 @@ class SystemParams:
     n_max: int
 
     def __post_init__(self):
-        for name in ("omega0", "omega_c"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        check_positive(self.omega0, "omega0")
+        check_positive(self.omega_c, "omega_c")
         if not 0 <= self.g_eff < math.inf:
             raise ValueError(f"g_eff must be finite and >= 0, got {self.g_eff}")
         if self.g_eff >= self.omega0 or self.g_eff >= self.omega_c:
@@ -86,15 +91,11 @@ class CouplingSchedule:
     t_period: float
 
     def __post_init__(self):
-        if not 0 < self.t_period < math.inf:
-            raise ValueError(f"t_period must be finite and > 0, got {self.t_period}")
+        check_positive(self.t_period, "t_period")
 
     @classmethod
     def from_switching_frequency(cls, switching_frequency: float) -> "CouplingSchedule":
-        if switching_frequency <= 0:
-            raise ValueError(
-                f"switching_frequency must be > 0, got {switching_frequency}"
-            )
+        check_positive(switching_frequency, "switching_frequency")
         return cls(t_period=TWO_PI / switching_frequency)
 
     @property
@@ -116,8 +117,7 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     The last edge is clipped to t_final, and there is always at least one
     segment; the coupling is on in segment k when k is even, off when k is odd.
     """
-    if t_final <= 0:
-        raise ValueError(f"t_final must be > 0, got {t_final}")
+    check_positive(t_final, "t_final")
     h = schedule.half_period
     n_full = int(math.floor(t_final / h + 1e-12))
     edges = np.arange(n_full + 1) * h

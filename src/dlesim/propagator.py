@@ -21,6 +21,7 @@ from .model import (
     SegmentWalk,
     SystemParams,
     bare_energies,
+    check_positive,
     hamiltonian_matrix,
     row_products,
     switching_grid,
@@ -42,9 +43,6 @@ class Trajectory:
     def __post_init__(self):
         self.times.setflags(write=False)
         self.amplitudes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def norms(self) -> np.ndarray:
         return norm(self.amplitudes)
@@ -74,8 +72,8 @@ class _SegmentPropagator:
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     """Multiples of sample_dt in [0, t_final], with t_final always included."""
-    if t_final <= 0 or sample_dt <= 0:
-        raise ValueError("t_final and sample_dt must be > 0")
+    check_positive(t_final, "t_final")
+    check_positive(sample_dt, "sample_dt")
     n = int(math.floor(t_final / sample_dt + 1e-9))
     times = np.arange(n + 1, dtype=float) * sample_dt
     times = times[times <= t_final * (1 + 1e-12)]
@@ -120,25 +118,15 @@ def _unitary(m: np.ndarray) -> np.ndarray:
     return m @ (1.5 * np.eye(len(m)) - 0.5 * m.conj().T @ m)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Photon-cutoff sensitivity of the excitation probability curve."""
-
-    n_max: int
-    sup_difference: float
-    threshold: float
-    converged: bool
-
-
 def convergence_check(
     params: SystemParams,
     schedule: CouplingSchedule,
     t_final: float,
     qubit_index: int = 0,
     sample_dt: Optional[float] = None,
-    threshold: float = 1e-4,
-) -> ConvergenceReport:
-    """Compare excitation probabilities at cutoffs params.n_max and n_max + 1."""
+) -> float:
+    """sup|P(n_max) - P(n_max + 1)| over [0, t_final]: how much one qubit's
+    excitation probability moves when the photon cutoff is raised by one."""
     if params.n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {params.n_max}")
     if sample_dt is None:
@@ -148,10 +136,4 @@ def convergence_check(
         propagate(p, schedule, t_final, sample_dt).excitation_probabilities(qubit_index)
         for p in (params, bigger)
     )
-    sup = float(np.max(np.abs(p_base - p_bigger)))
-    return ConvergenceReport(
-        n_max=params.n_max,
-        sup_difference=sup,
-        threshold=threshold,
-        converged=sup <= threshold,
-    )
+    return float(np.max(np.abs(p_base - p_bigger)))

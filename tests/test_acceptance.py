@@ -232,7 +232,7 @@ def test_a7_constant_coupling_equivalence():
     for i, t in enumerate(traj.times):
         if t == 0.0:
             continue
-        diff = float(np.abs(solution.amplitudes(float(t)) - traj.amplitudes[i]).max())
+        diff = float(np.abs(solution.amplitudes_at(float(t)) - traj.amplitudes[i]).max())
         bound = 10 * (G * float(t)) ** 3
         ok = ok and diff <= bound
         worst = max(worst, diff / bound)

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestZerothOrder:
     def test_norm_is_one_for_all_times(self):
         sol = zeroth_order(make_params(), make_schedule(), 1.0)
         for t in np.linspace(0, 1, 7):
-            assert sol.norm(float(t)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(sol.amplitudes_at(float(t))) == pytest.approx(1.0, abs=1e-12)
 
     def test_excited_start_carries_free_phase(self):
         space = HilbertSpace(2, 1)
@@ -162,6 +163,56 @@ class TestRunToOrder:
             with pytest.raises(ValueError, match="initial"):
                 run_to_order(params, make_schedule(), 2, 1.0, initial)
 
+    @pytest.mark.parametrize("j_max", [-1, True, 2.0])
+    def test_rejects_j_max_that_is_not_a_count(self, j_max):
+        with pytest.raises(ValueError, match="^j_max must be an integer"):
+            run_to_order(make_params(), make_schedule(), j_max, 1.0)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_window(self, t_final):
+        with pytest.raises(ValueError, match="^t_final must be finite"):
+            run_to_order(make_params(), make_schedule(), 2, t_final)
+
+
+# (n_qubits, n_max, ratio, order): one to three qubits, cutoffs 1 to 3
+SUPPORT_POINTS = [(1, 3, 2.5, 4), (2, 2, 20.0, 4), (3, 1, 200.0, 3)]
+
+
+class TestReads:
+    @pytest.mark.parametrize("n_qubits, n_max, ratio, order", SUPPORT_POINTS)
+    def test_coefficient_is_exactly_zero_off_the_support(self, n_qubits, n_max, ratio, order):
+        # the evaluator itself gives the zeros: coefficient consults no support
+        params = SystemParams(W0, WC, G, n_qubits, n_max)
+        sol = run_to_order(params, make_schedule(ratio), order, 1.0)
+        times = np.linspace(0.0, 1.0, 7)
+        for j in range(1, order + 1):
+            off = sorted(set(range(sol.space.dim)) - set(sol.support(j)))
+            assert off
+            for idx, t in itertools.product(off, times):
+                assert sol.coefficient(j, idx, float(t)) == 0j, (j, idx, float(t))
+
+    @pytest.mark.parametrize("order", [-1, 3, True])
+    def test_reads_reject_an_order_outside_the_solution(self, order):
+        sol = run_to_order(make_params(), make_schedule(), 2, 1.0)
+        with pytest.raises(ValueError, match=r"^order must be an integer in \[0, 2\]"):
+            sol.coefficient(order, 0, 0.5)
+        with pytest.raises(ValueError, match=r"^max_order must be an integer in \[0, 2\]"):
+            sol.amplitudes_at(0.5, order)
+
+    @pytest.mark.parametrize("state", [-1, 8])
+    def test_coefficient_rejects_a_state_outside_the_basis(self, state):
+        sol = run_to_order(make_params(), make_schedule(), 2, 1.0)
+        assert sol.space.dim == 8
+        with pytest.raises(ValueError, match="^state_index"):
+            sol.coefficient(1, state, 0.5)
+
+    def test_scalar_time_is_row_zero_of_the_array_call(self):
+        sol = run_to_order(make_params(n_max=2), make_schedule(7.3), 4, 1.0)
+        for t in np.linspace(0.0, 1.0, 23):
+            single = sol.amplitudes_at(float(t))
+            assert single.shape == (sol.space.dim,)
+            assert single.tobytes() == sol.amplitudes_at(np.array([t]))[0].tobytes()
+
 
 class TestRetimed:
     @pytest.mark.parametrize("ratio", [2.5, 7.3, 20.0])
@@ -243,7 +294,7 @@ class TestInvariants:
         for j in (1, 2):
             prev_support = sol.support(j - 1)
             for idx in sol.support(j):
-                energy = float(sol.levels.energies[np.searchsorted(sol.states, idx)])
+                energy = float(sol.levels.energies[np.searchsorted(sol.levels.states, idx)])
                 for _ in range(4):
                     k = int(rng.integers(0, len(sol.walk.edges) - 1))
                     lo, hi = float(sol.walk.edges[k]), float(sol.walk.edges[k + 1])
@@ -274,7 +325,7 @@ class TestInvariants:
         for i, t in enumerate(traj.times):
             if t == 0.0:
                 continue
-            diff = np.abs(sol.amplitudes(float(t)) - traj.amplitudes[i]).max()
+            diff = np.abs(sol.amplitudes_at(float(t)) - traj.amplitudes[i]).max()
             assert diff <= 10 * (G * float(t)) ** 3
 
     @pytest.mark.parametrize("ratio", [2.5, 20.0])
@@ -474,7 +525,7 @@ class TestBatchedEvaluation:
         times = np.linspace(0.0, 1.0, 3001)
         batched = sol.amplitudes_at(times)
         assert batched.shape == (len(times), sol.space.dim)
-        stacked = np.array([sol.amplitudes(float(t)) for t in times])
+        stacked = np.array([sol.amplitudes_at(float(t)) for t in times])
         assert np.array_equal(batched, stacked)
 
     @pytest.mark.parametrize("order", [1, 2, 4])
@@ -624,7 +675,7 @@ def response_cases(point, n_qubits):
 @pytest.mark.parametrize("point", sorted(RESPONSE_POINTS))
 def test_response_matches_exppoly_oracle(point, n_qubits):
     for solution, half_periods in response_cases(point, n_qubits):
-        states = solution.states
+        states = solution.levels.states
         energies = bare_energies(solution.params, solution.space)
         oracle = exppoly_response_oracle(solution.space, energies, states, G, 4)
         for h, (j, table) in itertools.product(half_periods, enumerate(solution.tables)):
@@ -643,7 +694,7 @@ def test_response_matches_van_loan_expm(point, n_qubits):
     # A coupling of 1/h there keeps every block O(1); Phi_j scales as g0^j.
     linalg = pytest.importorskip("scipy.linalg")
     for solution, half_periods in response_cases(point, n_qubits):
-        states = solution.states
+        states = solution.levels.states
         n_states, n_orders = len(states), len(solution.tables)
         for h in half_periods:
             coupling = 1.0 / h
@@ -671,9 +722,9 @@ def test_exppoly_rows_are_canonical():
     taus = np.linspace(0.0, solution.schedule.half_period, 5)
     for table in solution.tables:
         rows = table.coefficients
-        assert set(rows) <= set(solution.states.tolist())
+        assert set(rows) <= set(solution.levels.states.tolist())
         for row in rows.values():
             assert all(ExpPoly(poly.terms) == poly for poly in row)
         want = np.stack([table.matrix(tau) for tau in taus])
-        got = oracle_matrices(rows, solution.states, taus)
+        got = oracle_matrices(rows, solution.levels.states, taus)
         assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())

@@ -176,10 +176,6 @@ class TestCanonicalForm:
         p = ExpPoly([(1.0, 0, 0j), (1e-17, 0, 1j)])
         assert len(p) == 1
 
-    def test_serialization_rows(self):
-        p = ExpPoly([(1.0 + 2.0j, 1, 3.0 - 4.0j)])
-        assert p.to_rows() == [(1.0, 2.0, 1, 3.0, -4.0)]
-
     def test_immutable(self):
         p = ExpPoly.constant(1.0)
         with pytest.raises(AttributeError):

@@ -102,6 +102,9 @@ def test_index_of_rejects_bad_input():
         space.index_of((2, 0), 0)
     with pytest.raises(ValueError, match="got 0.5"):
         space.index_of((0, 0), 0.5)
+    # a bool photon count is rejected, as check_index rejects a bool index
+    with pytest.raises(ValueError, match="photons"):
+        space.index_of((0, 0), True)
 
 
 def test_ground_state_probabilities():
@@ -161,6 +164,10 @@ def test_qubit_index_out_of_range():
     space = HilbertSpace(2, 1)
     with pytest.raises(ValueError):
         qubit_excitation(basis_vector(space, 0), space, 2)
+    # a bool or a float is not a qubit index either
+    for qubit_index in (True, 1.0):
+        with pytest.raises(ValueError, match="qubit_index"):
+            qubit_excitation(basis_vector(space, 0), space, qubit_index)
 
 
 def coupling_terms(space):

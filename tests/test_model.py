@@ -80,6 +80,11 @@ class TestCouplingSchedule:
         with pytest.raises(ValueError, match="t_period"):
             CouplingSchedule(t_period=t_period)
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequency(self, frequency):
+        with pytest.raises(ValueError, match="^switching_frequency must be finite"):
+            CouplingSchedule.from_switching_frequency(frequency)
+
     def test_rejects_frequency_whose_period_overflows(self):
         with pytest.raises(ValueError, match="t_period"):
             CouplingSchedule.from_switching_frequency(1e-320)
@@ -252,6 +257,11 @@ class TestSwitchingGrid:
     def test_tiny_window_has_one_segment(self, t_final):
         sched = CouplingSchedule.from_switching_frequency(20 * W0)
         assert list(switching_grid(sched, t_final)) == [0.0, t_final]
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_window(self, t_final):
+        with pytest.raises(ValueError, match="^t_final must be finite"):
+            switching_grid(CouplingSchedule(t_period=1.0), t_final)
 
 
 def reference_grid(schedule, t_final):
