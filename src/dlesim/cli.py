@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,39 +37,42 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration; message names the field."""
 
 
-_REAL_FIELDS = (
-    "omega0_ghz",
-    "omega_c_ghz",
-    "g_eff_ghz",
-    "switch_ratio",
-    "switch_freq_ghz",
-    "t_final_ns",
-    "sample_dt_ns",
-)
-_INTEGER_FIELDS = ("n_qubits", "n_max", "order", "qubit_index")
-_OPTIONAL_FIELDS = frozenset({"switch_ratio", "switch_freq_ghz", "n_max"})
-
 # Complex numbers in the largest array one run may allocate: 512 MiB.
 MAX_ARRAY_ELEMENTS = 1 << 25
 # Points of one sweep, each a config of about 200 B built before the first runs.
 MAX_SWEEP_POINTS = 1 << 16
 
 
-def _check_types(config: "RunConfig") -> None:
-    """Finite numbers and true integers only; bool counts as neither."""
-    for name in _REAL_FIELDS + _INTEGER_FIELDS:
-        value = getattr(config, name)
-        if value is None and name in _OPTIONAL_FIELDS:
-            continue
-        if isinstance(value, bool):
-            ok = False
-        elif name in _INTEGER_FIELDS:
-            ok = isinstance(value, numbers.Integral)
-        else:
-            ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        if not ok:
-            kind = "an integer" if name in _INTEGER_FIELDS else "a finite number"
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+def check_field(
+    name: str, value, kind: type, above=None, at_least=None, within=None, ghz=False
+) -> None:
+    """ConfigError naming ``name`` unless ``value`` is of ``kind`` and in range.
+
+    ``kind`` float takes a finite number, int an integer; a bool is neither.
+    The range is ``> above``, ``>= at_least`` or ``in within``, a closed
+    [lo, hi]; a ``ghz`` value must also stay finite in rad/ns.
+    """
+    try:
+        ok = not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if kind is int
+            else isinstance(value, numbers.Real) and math.isfinite(value)
+        )
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok:
+        kind_text = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name} must be {kind_text}, got {value!r}")
+    bound = None
+    if above is not None and not value > above:
+        bound = f"> {above}"
+    elif at_least is not None and not value >= at_least:
+        bound = f">= {at_least}"
+    elif within is not None and not within[0] <= value <= within[1]:
+        bound = f"in [{within[0]}, {within[1]}]"
+    if bound is not None:
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+    if ghz and math.isinf(TWO_PI * value):
+        raise ConfigError(f"{name} = {value!r} GHz is not finite in rad/ns (times 2*pi)")
 
 
 def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:
@@ -103,7 +106,7 @@ def _check_size(config: "RunConfig") -> None:
     (J+1)R x (J+1)R on map, its response coefficients (``response_bound``)
     and the samples x dim amplitudes.
     """
-    n_max = min(config.resolved_n_max(), 1 << 32)  # the caps keep the ints small
+    n_max = min(config.params.n_max, 1 << 32)  # the caps keep the ints small
     n_qubits = min(config.n_qubits, 64)
     dim = 2**n_qubits * (n_max + 1)
     stacked = (config.order + 1) * reachable_bound(n_qubits, n_max)[0]
@@ -126,101 +129,73 @@ def _check_size(config: "RunConfig") -> None:
             )
 
 
+def _field(default, kind: type, **bounds):
+    """A ``RunConfig`` field: its default, kind and range, as ``check_field``
+    takes them; a field whose default is None may be null."""
+    return field(default=default, metadata={"kind": kind, **bounds})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; frequencies in GHz, times in ns."""
+    """Flat run configuration; frequencies in GHz, times in ns.
 
-    omega0_ghz: float = 5.439
-    omega_c_ghz: float = 4.343
-    g_eff_ghz: float = 0.050
-    switch_ratio: Optional[float] = None
-    switch_freq_ghz: Optional[float] = None
-    n_qubits: int = 2
-    n_max: Optional[int] = None
-    order: int = 2
-    t_final_ns: float = 10.0
-    sample_dt_ns: float = 0.01
-    qubit_index: int = 0
+    ``params`` and ``schedule``, the run's ``SystemParams`` and
+    ``CouplingSchedule`` in rad/ns, are built once, here, so a config that
+    loads is one that every pipeline accepts.
+    """
+
+    # g_eff_ghz and switch_freq_ghz, also times 2*pi, stay finite by the
+    # coupling and period checks below
+    omega0_ghz: float = _field(5.439, float, above=0, ghz=True)
+    omega_c_ghz: float = _field(4.343, float, above=0, ghz=True)
+    g_eff_ghz: float = _field(0.050, float, at_least=0)
+    switch_ratio: Optional[float] = _field(None, float, above=0)
+    switch_freq_ghz: Optional[float] = _field(None, float, above=0)
+    n_qubits: int = _field(2, int, at_least=1)
+    n_max: Optional[int] = _field(None, int, at_least=0)
+    order: int = _field(2, int, within=(0, 4))
+    t_final_ns: float = _field(10.0, float, above=0)
+    sample_dt_ns: float = _field(0.01, float, above=0)
+    qubit_index: int = _field(0, int)  # in [0, n_qubits - 1], checked below
 
     def __post_init__(self):
-        _check_types(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                check_field(f.name, value, **f.metadata)
+        check_field("qubit_index", self.qubit_index, int, within=(0, self.n_qubits - 1))
         if self.switch_ratio is not None and self.switch_freq_ghz is not None:
             raise ConfigError(
                 "switch_ratio and switch_freq_ghz are mutually exclusive"
             )
-        for name in ("omega0_ghz", "omega_c_ghz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.g_eff_ghz < 0:
-            raise ConfigError(f"g_eff_ghz must be >= 0, got {self.g_eff_ghz}")
-        if self.g_eff >= min(self.omega0, self.omega_c):
+        omega0, omega_c = TWO_PI * self.omega0_ghz, TWO_PI * self.omega_c_ghz
+        g_eff = TWO_PI * self.g_eff_ghz
+        if g_eff >= min(omega0, omega_c):  # in rad/ns, as SystemParams compares
             raise ConfigError(
                 f"g_eff_ghz must be < min(omega0_ghz, omega_c_ghz), got {self.g_eff_ghz}"
             )
-        if self.switch_ratio is not None and self.switch_ratio <= 0:
-            raise ConfigError(f"switch_ratio must be > 0, got {self.switch_ratio}")
-        if self.switch_freq_ghz is not None and self.switch_freq_ghz <= 0:
-            raise ConfigError(
-                f"switch_freq_ghz must be > 0, got {self.switch_freq_ghz}"
-            )
-        if self.n_qubits < 1:
-            raise ConfigError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_max is not None and self.n_max < 0:
-            raise ConfigError(f"n_max must be >= 0, got {self.n_max}")
-        if not 0 <= self.order <= 4:
-            raise ConfigError(f"order must be in [0, 4], got {self.order}")
-        if self.t_final_ns <= 0:
-            raise ConfigError(f"t_final_ns must be > 0, got {self.t_final_ns}")
-        if self.sample_dt_ns <= 0:
-            raise ConfigError(f"sample_dt_ns must be > 0, got {self.sample_dt_ns}")
-        if not 0 <= self.qubit_index < self.n_qubits:
-            raise ConfigError(
-                f"qubit_index must be in [0, {self.n_qubits - 1}], "
-                f"got {self.qubit_index}"
-            )
         varpi = self.switching_frequency
-        if not varpi or math.isinf(TWO_PI / varpi):
+        period = TWO_PI / varpi if varpi else math.inf
+        if not 0 < period < math.inf:
             cause = "switch_freq_ghz" if self.switch_freq_ghz else "switch_ratio and omega0_ghz"
             raise ConfigError(
-                f"{cause}: the switching frequency {varpi!r} rad/ns "
-                "gives a period 2*pi/varpi that is not finite"
+                f"{cause}: the switching frequency {varpi!r} rad/ns gives a period "
+                f"2*pi/varpi that is {'not finite' if period else 'zero'}"
             )
+        # the photon cutoff of every command: max(2, order) unless n_max is given
+        n_max = max(2, self.order) if self.n_max is None else self.n_max
+        object.__setattr__(
+            self, "params", SystemParams(omega0, omega_c, g_eff, self.n_qubits, n_max)
+        )
+        object.__setattr__(self, "schedule", CouplingSchedule.from_switching_frequency(varpi))
         _check_size(self)
-
-    @property
-    def omega0(self) -> float:
-        return TWO_PI * self.omega0_ghz
-
-    @property
-    def omega_c(self) -> float:
-        return TWO_PI * self.omega_c_ghz
-
-    @property
-    def g_eff(self) -> float:
-        return TWO_PI * self.g_eff_ghz
 
     @property
     def switching_frequency(self) -> float:
         if self.switch_freq_ghz is not None:
             return TWO_PI * self.switch_freq_ghz
         ratio = self.switch_ratio if self.switch_ratio is not None else 20.0
-        return ratio * self.omega0
-
-    def resolved_n_max(self) -> int:
-        """Photon cutoff: the config value, or max(2, order) for every command."""
-        return max(2, self.order) if self.n_max is None else self.n_max
-
-    def system_params(self) -> SystemParams:
-        return SystemParams(
-            omega0=self.omega0,
-            omega_c=self.omega_c,
-            g_eff=self.g_eff,
-            n_qubits=self.n_qubits,
-            n_max=self.resolved_n_max(),
-        )
-
-    def coupling_schedule(self) -> CouplingSchedule:
-        return CouplingSchedule.from_switching_frequency(self.switching_frequency)
+        return ratio * (TWO_PI * self.omega0_ghz)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -274,10 +249,7 @@ def write_csv(
 
 def cmd_exact(config: RunConfig, out_path: str) -> int:
     """Exact propagation; columns t_ns, p_excite, photon_exp, norm."""
-    params = config.system_params()
-    traj = propagate(
-        params, config.coupling_schedule(), config.t_final_ns, config.sample_dt_ns
-    )
+    traj = propagate(config.params, config.schedule, config.t_final_ns, config.sample_dt_ns)
     p_exc = traj.excitation_probabilities(config.qubit_index)
     photons = traj.photon_expectations()
     norms = traj.norms()
@@ -301,7 +273,7 @@ def _closedform_column(
     config: RunConfig, times: np.ndarray
 ) -> tuple[Optional[np.ndarray], bool]:
     """Closed-form probabilities when the oracle applies, else (None, guard_hit)."""
-    params = config.system_params()
+    params = config.params
     if not (params.n_qubits == 2 and params.n_max >= 1 and config.order >= 2):
         return None, False
     if degenerate(params):
@@ -312,7 +284,7 @@ def _closedform_column(
         )
         return None, True
     try:
-        amps = closedform_state(times, params, config.coupling_schedule())
+        amps = closedform_state(times, params, config.schedule)
     except ResonanceError as exc:
         print(f"closed-form column skipped: {exc}", file=sys.stderr)
         return None, True
@@ -321,8 +293,7 @@ def _closedform_column(
 
 def build_engine(config: RunConfig) -> PerturbativeSolution:
     """The perturbation engine of one config, up to its order."""
-    params, schedule = config.system_params(), config.coupling_schedule()
-    return run_to_order(params, schedule, config.order, config.t_final_ns)
+    return run_to_order(config.params, config.schedule, config.order, config.t_final_ns)
 
 
 def exact_vs_pert(
@@ -332,11 +303,9 @@ def exact_vs_pert(
 
     ``engine`` may come from another switching period: it is retimed.
     """
-    params = config.system_params()
-    schedule = config.coupling_schedule()
-    traj = propagate(params, schedule, config.t_final_ns, config.sample_dt_ns)
+    traj = propagate(config.params, config.schedule, config.t_final_ns, config.sample_dt_ns)
     p_exact = traj.excitation_probabilities(config.qubit_index)
-    solution = engine.retimed(schedule, config.t_final_ns)
+    solution = engine.retimed(config.schedule, config.t_final_ns)
     p_pert = solution.excitation_probability(config.qubit_index, traj.times)
     return traj.times, p_exact, p_pert
 
@@ -385,15 +354,13 @@ def cmd_sweep(
     points: int,
 ) -> int:
     """Sweep the switching ratio; one row per ratio, in ascending order."""
-    for name, value in (("ratio_min", ratio_min), ("ratio_max", ratio_max)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    check_field("ratio_min", ratio_min, float)
+    check_field("ratio_max", ratio_max, float)
     if not 0 < ratio_min < ratio_max:
         raise ConfigError(
             f"need 0 < ratio_min < ratio_max, got {ratio_min}, {ratio_max}"
         )
-    if not 2 <= points <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"points must be in [2, {MAX_SWEEP_POINTS}], got {points}")
+    check_field("points", points, int, within=(2, MAX_SWEEP_POINTS))
     ratios = [
         ratio_min + (ratio_max - ratio_min) * i / (points - 1) for i in range(points)
     ]

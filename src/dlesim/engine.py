@@ -230,7 +230,7 @@ class PerturbativeSolution:
         return PerturbativeSolution(self.params, schedule, t_final, self.levels, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
-        return self.tables[order].support
+        return self.tables[check_integer(order, "order", 0, self.order)].support
 
     @cached_property
     def walk(self) -> SegmentWalk:

@@ -24,12 +24,8 @@ class HilbertSpace:
     """
 
     def __init__(self, n_qubits: int, n_max: int):
-        if not (isinstance(n_qubits, numbers.Integral) and n_qubits >= 1):
-            raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits!r}")
-        if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
-            raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
-        self.n_qubits = n_qubits
-        self.n_max = n_max
+        self.n_qubits = n_qubits = check_integer(n_qubits, "n_qubits", 1)
+        self.n_max = n_max = check_integer(n_max, "n_max", 0)
         self.dim = 2**n_qubits * (n_max + 1)
         self.photon_counts, codes = np.divmod(np.arange(self.dim, dtype=np.int64), 2**n_qubits)
         # dim x n_qubits bits, first qubit the most significant bit of the code

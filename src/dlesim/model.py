@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace
+from .hilbert import HilbertSpace, check_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,10 +59,8 @@ class SystemParams:
                 "perturbative validity requires g_eff < omega0 and g_eff < omega_c; "
                 f"got g_eff={self.g_eff}, omega0={self.omega0}, omega_c={self.omega_c}"
             )
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        check_integer(self.n_qubits, "n_qubits", 1)
+        check_integer(self.n_max, "n_max", 0)
 
     def space(self) -> HilbertSpace:
         return _space(self.n_qubits, self.n_max)

@@ -26,7 +26,7 @@ SWEEP_RATIOS = (10.0, 20.0)
 
 
 def segments(config: RunConfig) -> int:
-    return len(switching_grid(config.coupling_schedule(), config.t_final_ns)) - 1
+    return len(switching_grid(config.schedule, config.t_final_ns)) - 1
 
 
 # Per command: extra arguments, the configs whose grids it walks (each
@@ -65,7 +65,7 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
     layer_metrics = runpy.run_path(str(TRACER))["layer_metrics"]
     metrics = layer_metrics(json.loads(spans_path.read_text()))
     run = RunConfig(**config)
-    assert metrics["hilbert.dim"] == run.system_params().space().dim
+    assert metrics["hilbert.dim"] == run.params.space().dim
     assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
     assert metrics["propagator.decompose_s"] > 0
     assert metrics["engine.evals"] == evals

@@ -57,7 +57,7 @@ class TestRunConfig:
         assert cfg.omega0_ghz == 5.439
         assert cfg.omega_c_ghz == 4.343
         assert cfg.g_eff_ghz == 0.050
-        assert cfg.omega0 == pytest.approx(TWO_PI * 5.439)
+        assert cfg.params.omega0 == pytest.approx(TWO_PI * 5.439)
 
     def test_readme_config_block_lists_the_defaults(self):
         text = README.read_text(encoding="utf-8")
@@ -72,19 +72,38 @@ class TestRunConfig:
         cfg = RunConfig(switch_freq_ghz=100.0)
         assert cfg.switching_frequency == pytest.approx(TWO_PI * 100.0)
 
-    def test_validation_names_field(self):
+    def test_validation_names_field(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="t_final_ns"):
             RunConfig(t_final_ns=-1.0)
         with pytest.raises(ConfigError, match="qubit_index"):
             RunConfig(qubit_index=5)
         with pytest.raises(ConfigError, match="order"):
             RunConfig(order=9)
+        # one range fault per field, with its whole stderr line
+        for field, value, bound in (
+            ("omega0_ghz", 0, "> 0"),
+            ("omega_c_ghz", 0, "> 0"),
+            ("g_eff_ghz", -1, ">= 0"),
+            ("switch_ratio", 0, "> 0"),
+            ("switch_freq_ghz", 0, "> 0"),
+            ("n_qubits", 0, ">= 1"),
+            ("n_max", -1, ">= 0"),
+            ("order", 9, "in [0, 4]"),
+            ("t_final_ns", -1, "> 0"),
+            ("sample_dt_ns", 0, "> 0"),
+            ("qubit_index", 2, "in [0, 1]"),
+        ):
+            code, err = run_config(tmp_path, capsys, {field: value})
+            assert (code, err) == (
+                EXIT_CONFIG,
+                f"config error: {field} must be {bound}, got {value}\n",
+            )
 
     def test_nmax_resolution(self):
         # one rule for every command: max(2, order) unless n_max is given
-        assert [RunConfig(order=j).resolved_n_max() for j in range(5)] == [2, 2, 2, 3, 4]
-        assert RunConfig(order=1, n_max=0).resolved_n_max() == 0
-        assert RunConfig(order=3, n_max=4).resolved_n_max() == 4
+        assert [RunConfig(order=j).params.n_max for j in range(5)] == [2, 2, 2, 3, 4]
+        assert RunConfig(order=1, n_max=0).params.n_max == 0
+        assert RunConfig(order=3, n_max=4).params.n_max == 4
 
 
 class TestLoadConfig:
@@ -148,6 +167,12 @@ class TestConfigProbes:
         code, err = run_config(tmp_path, capsys, {field: value})
         assert code == EXIT_CONFIG
         assert f"config error: {field} must be a finite number" in err
+
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_integer_past_float_range_rejected(self, tmp_path, capsys, field):
+        code, err = run_config(tmp_path, capsys, {field: 10**400})
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {field} must be a finite number, got {10**400}\n"
 
     @pytest.mark.parametrize("field", ["n_qubits", "n_max", "order", "qubit_index"])
     def test_bool_for_integer_rejected(self, tmp_path, capsys, field):
@@ -225,6 +250,30 @@ class TestConfigProbes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and field in err and "period" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["exact", "perturb", "compare", "sweep"])
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"omega0_ghz": 1e308}, "omega0_ghz"),
+            ({"omega0_ghz": 1e308, "switch_freq_ghz": 1.0}, "omega0_ghz"),
+            ({"omega_c_ghz": 1e308}, "omega_c_ghz"),
+            ({"switch_freq_ghz": 1e308}, "switch_freq_ghz"),
+            ({"switch_ratio": 1e308}, "switch_ratio"),
+        ],
+    )
+    def test_overflowing_angular_frequency_rejected(
+        self, tmp_path, capsys, command, data, field
+    ):
+        # finite in GHz, but 2*pi times it (or the ratio times omega0) is inf
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(data))
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {field}")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_overflowing_sweep_period_rejected(self, tmp_path, capsys, monkeypatch):
@@ -350,8 +399,8 @@ class TestCmdExact:
         from dlesim.propagator import propagate
 
         traj = propagate(
-            cfg.system_params(),
-            cfg.coupling_schedule(),
+            cfg.params,
+            cfg.schedule,
             cfg.t_final_ns,
             cfg.sample_dt_ns,
         )
@@ -442,10 +491,10 @@ class TestCmdSweep:
         cfg = fast_config(t_final_ns=2.0, order=3)
         assert cmd_sweep(cfg, str(out), 2.5, 20.0, 4) == EXIT_OK
         _, rows = read_csv(out)
-        params = cfg.system_params()
+        params = cfg.params
         for row in rows:
             point = replace(cfg, switch_ratio=row[0])
-            schedule = point.coupling_schedule()
+            schedule = point.schedule
             traj = propagate(params, schedule, point.t_final_ns, point.sample_dt_ns)
             p_exact = traj.excitation_probabilities(point.qubit_index)
             fresh = run_to_order(params, schedule, point.order, point.t_final_ns)

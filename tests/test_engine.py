@@ -198,6 +198,8 @@ class TestReads:
             sol.coefficient(order, 0, 0.5)
         with pytest.raises(ValueError, match=r"^max_order must be an integer in \[0, 2\]"):
             sol.amplitudes_at(0.5, order)
+        with pytest.raises(ValueError, match=r"^order must be an integer in \[0, 2\]"):
+            sol.support(order)
 
     @pytest.mark.parametrize("state", [-1, 8])
     def test_coefficient_rejects_a_state_outside_the_basis(self, state):

@@ -53,6 +53,13 @@ def test_rejects_zero_qubits():
         HilbertSpace(0, 1)
 
 
+def test_rejects_bool_sizes():
+    with pytest.raises(ValueError, match="^n_qubits must be an integer >= 1, got True"):
+        HilbertSpace(True, 2)
+    with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got True"):
+        HilbertSpace(2, True)
+
+
 @pytest.mark.parametrize("n_max", [1.5, -1])
 def test_rejects_bad_cutoff(n_max):
     with pytest.raises(ValueError, match="n_max"):

@@ -50,6 +50,14 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             replace(make_params(), **{field: value})
 
+    def test_rejects_a_bool_qubit_count(self):
+        with pytest.raises(ValueError, match="^n_qubits must be an integer >= 1, got True"):
+            make_params(n_qubits=True)
+
+    def test_rejects_a_non_integer_cutoff(self):
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got 1.5"):
+            make_params(n_max=1.5)
+
     def test_rejects_strong_coupling(self):
         with pytest.raises(ValueError):
             SystemParams(omega0=W0, omega_c=WC, g_eff=2 * WC, n_qubits=2, n_max=1)

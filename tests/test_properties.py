@@ -3,6 +3,7 @@
 import itertools
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,28 @@ def test_cli_csv_byte_identical_across_runs(config, g_fraction):
                 assert code in (cli.EXIT_OK, cli.EXIT_GUARD)
                 runs.append((code, out.read_bytes()))
             assert runs[0] == runs[1]
+
+
+# every kind of value a JSON config can hold, and the extremes of each
+config_values = st.one_of(
+    st.floats(),  # nan, +-inf and subnormals included
+    st.sampled_from([1e308, -1e308, 5e-324, 2.8e307]),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=2**1024, max_value=2**1100),
+    st.sampled_from([True, False, None]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from([f.name for f in fields(cli.RunConfig)]), value=config_values)
+def test_single_field_config_is_rejected_or_ready_to_run(field, value):
+    try:
+        config = cli.RunConfig(**{field: value})
+    except cli.ConfigError:
+        return
+    assert isinstance(config.params, SystemParams)
+    assert isinstance(config.schedule, CouplingSchedule)
 
 
 @settings(max_examples=200, deadline=None)
