@@ -61,7 +61,7 @@ def check_field(
         ok = False
     if not ok:
         kind_text = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{name} must be {kind_text}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind_text}, got {_shown(value, repr(value))}")
     bound = None
     if above is not None and not value > above:
         bound = f"> {above}"
@@ -70,9 +70,21 @@ def check_field(
     elif within is not None and not within[0] <= value <= within[1]:
         bound = f"in [{within[0]}, {within[1]}]"
     if bound is not None:
-        raise ConfigError(f"{name} must be {bound}, got {value}")
+        raise ConfigError(f"{name} must be {bound}, got {_shown(value, str(value))}")
     if ghz and math.isinf(TWO_PI * value):
-        raise ConfigError(f"{name} = {value!r} GHz is not finite in rad/ns (times 2*pi)")
+        raise ConfigError(
+            f"{name} = {_shown(value, repr(value))} GHz is not finite in rad/ns (times 2*pi)"
+        )
+
+
+def _shown(value, text: str) -> str:
+    """``text``, a message's echo of ``value``, or its length where it is long
+    (a JSON integer may have thousands of digits)."""
+    if len(text) <= 40:
+        return text
+    if isinstance(value, numbers.Integral):
+        return f"a {len(text.lstrip('-'))}-digit integer"
+    return f"a {len(text)}-character value"
 
 
 def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:

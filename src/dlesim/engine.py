@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exppoly import PRUNE_REL_TOL, RATE_MERGE_TOL, ExpPoly
+from .exppoly import RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
 from .hilbert import check_integer, qubit_excitation
 from .model import (
@@ -112,7 +112,7 @@ class OrderTable:
     residue table over (power, level):
     Phi_order(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, where
     ``rates[u] = -i * levels.values[term_levels[u]]`` and
-    ``coeffs[u * R + n, i] = C_u[i, n]``.  Built from a dense table
+    ``coeffs[u, n, i] = C_u[i, n]``.  Built from a dense table
     ``[k, a, n, i]`` over every power and level; only nonzero slices are kept.
     """
 
@@ -125,8 +125,8 @@ class OrderTable:
         dropped_couplings: int = 0,
     ):
         n_powers, n_levels, n_states = table.shape[:3]
-        flat = table.reshape(n_powers * n_levels, n_states * n_states)
-        kept = np.flatnonzero(flat.any(axis=1))
+        slices = table.reshape(n_powers * n_levels, n_states, n_states)
+        kept = np.flatnonzero(slices.any(axis=(1, 2)))
         self.order = order
         self.support = support
         self.dropped_couplings = dropped_couplings
@@ -134,7 +134,7 @@ class OrderTable:
         self.term_levels = kept % n_levels
         self.powers = (kept // n_levels).astype(float)
         self.rates = -1j * levels.values[self.term_levels]
-        self.coeffs = flat[kept].reshape(-1, n_states)
+        self.coeffs = slices[kept]
 
     @property
     def n_terms(self) -> int:
@@ -148,34 +148,25 @@ class OrderTable:
         """Rows Phi(tau[s]) @ vectors[s], shape (S, R), for start vectors (S, R)."""
         basis = self._basis(tau)
         products = basis[:, :, None] * vectors[:, None, :]
-        return row_products(products.reshape(len(tau), -1), self.coeffs)
+        flat = self.coeffs.reshape(-1, self.coeffs.shape[2])
+        return row_products(products.reshape(len(tau), -1), flat)
 
     def matrix(self, tau: float) -> np.ndarray:
         """Phi(tau) as an (R, R) matrix over the reachable states."""
         basis = self._basis(np.array([float(tau)]))[0]
-        n_states = len(self.levels.states)
-        return np.tensordot(basis, self.coeffs.reshape(-1, n_states, n_states), 1).T
+        return np.tensordot(basis, self.coeffs, 1).T
 
     @cached_property
     def coefficients(self) -> dict[int, tuple[ExpPoly, ...]]:
-        """Phi as ExpPoly entries: ``coefficients[state][n]``, nonzero rows only.
-
-        The slices are distinct (power, rate) pairs, so each entry only
-        needs ExpPoly's term order and pruning to be canonical.
-        """
-        states = self.levels.states
-        n_states = len(states)
-        order = np.lexsort((self.rates.imag, self.rates.real, self.powers))
-        table = self.coeffs.reshape(-1, n_states, n_states)[order].transpose(2, 1, 0)
-        size = np.abs(table)
-        kept = (size > 0) & (size >= PRUNE_REL_TOL * size.max(axis=2, keepdims=True))
-        keys = list(zip(self.powers[order].astype(int).tolist(), self.rates[order].tolist()))
-        entries = [[[] for _ in range(n_states)] for _ in range(n_states)]
-        for i, n, u, c in zip(*(axis.tolist() for axis in np.nonzero(kept)), table[kept].tolist()):
-            entries[i][n].append((c, *keys[u]))
+        """Phi as ExpPoly entries: ``coefficients[state][n]``, nonzero rows only."""
+        keys = list(zip(self.powers.astype(int).tolist(), self.rates.tolist()))
+        table = self.coeffs.transpose(2, 1, 0)
         return {
-            int(states[i]): tuple(ExpPoly.canonical(tuple(terms)) for terms in entries[i])
-            for i in np.flatnonzero(kept.any(axis=(1, 2))).tolist()
+            int(self.levels.states[i]): tuple(
+                ExpPoly((c, *key) for c, key in zip(entry, keys))
+                for entry in table[i].tolist()
+            )
+            for i in np.flatnonzero(table.any(axis=(1, 2))).tolist()
         }
 
 
@@ -331,10 +322,9 @@ def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
         (n_powers + 1, len(levels.values), n_states, n_states), dtype=np.complex128
     )
     # B = V Phi_{j-1}, gathered over the nonzeros of each row of V
-    slices = prev.coeffs.reshape(-1, n_states, n_states)
-    drive, gathered = np.zeros_like(slices), np.empty_like(slices)
+    drive, gathered = np.zeros_like(prev.coeffs), np.empty_like(prev.coeffs)
     for p in range(levels.linked.shape[1]):
-        np.take(slices, levels.linked[:, p], axis=2, out=gathered)
+        np.take(prev.coeffs, levels.linked[:, p], axis=2, out=gathered)
         gathered *= levels.weights[:, p]
         drive += gathered
     del gathered  # one slice set less at the peak, while the table fills

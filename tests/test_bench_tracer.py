@@ -42,10 +42,8 @@ PIPELINES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PIPELINES))
-def test_traced_pipeline_reports_every_layer(tmp_path, command):
-    extra, walked, evals = PIPELINES[command]
-    config = {"t_final_ns": 1.0}
+def traced_metrics(tmp_path, command, config, extra=()):
+    """Per-layer metrics of one traced run of ``command``, and its CSV's path."""
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
     spans_path = tmp_path / "spans.json"
@@ -63,7 +61,14 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
 
     # run_path compiles the source without writing a bytecode cache into bench/
     layer_metrics = runpy.run_path(str(TRACER))["layer_metrics"]
-    metrics = layer_metrics(json.loads(spans_path.read_text()))
+    return layer_metrics(json.loads(spans_path.read_text())), out_path
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINES))
+def test_traced_pipeline_reports_every_layer(tmp_path, command):
+    extra, walked, evals = PIPELINES[command]
+    config = {"t_final_ns": 1.0}
+    metrics, out_path = traced_metrics(tmp_path, command, config, extra)
     run = RunConfig(**config)
     assert metrics["hilbert.dim"] == run.params.space().dim
     assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
@@ -78,3 +83,13 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
         assert metrics["engine.build_s"] > 0
         for j in range(run.order + 1):
             assert metrics[f"engine.order{j}_terms"] > 0
+
+
+@pytest.mark.parametrize("uncoupled", [{"g_eff_ghz": 0}, {"n_max": 0}], ids=["g_eff=0", "n_max=0"])
+def test_traced_compare_without_coupling(tmp_path, uncoupled):
+    # the tracer reads every order's ExpPoly rows, and past order 0 there are none
+    config = {"t_final_ns": 1.0, **uncoupled}
+    metrics, _ = traced_metrics(tmp_path, "compare", config)
+    assert metrics["engine.order0_terms"] > 0
+    for j in range(1, RunConfig(**config).order + 1):
+        assert metrics[f"engine.order{j}_terms"] == 0

@@ -172,7 +172,29 @@ class TestConfigProbes:
     def test_integer_past_float_range_rejected(self, tmp_path, capsys, field):
         code, err = run_config(tmp_path, capsys, {field: 10**400})
         assert code == EXIT_CONFIG
-        assert err == f"config error: {field} must be a finite number, got {10**400}\n"
+        # a value past 40 characters is named by its length, not echoed
+        assert err == f"config error: {field} must be a finite number, got a 401-digit integer\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"order": 10**400}, "order must be in [0, 4], got a 401-digit integer"),
+            ({"n_qubits": -(10**400)}, "n_qubits must be >= 1, got a 401-digit integer"),
+            ({"omega_c_ghz": 10**308}, "omega_c_ghz = a 309-digit integer GHz is not finite"),
+            ({"order": "2" * 100}, "order must be an integer, got a 102-character value"),
+        ],
+        ids=["range", "negative-range", "ghz", "string"],
+    )
+    def test_long_value_named_by_its_length(self, tmp_path, capsys, data, message):
+        code, err = run_config(tmp_path, capsys, data)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1 and len(err) <= 120
+
+    def test_value_of_40_characters_echoed(self, tmp_path, capsys):
+        code, err = run_config(tmp_path, capsys, {"order": 10**39})
+        assert code == EXIT_CONFIG
+        assert err == f"config error: order must be in [0, 4], got {10**39}\n"
 
     @pytest.mark.parametrize("field", ["n_qubits", "n_max", "order", "qubit_index"])
     def test_bool_for_integer_rejected(self, tmp_path, capsys, field):

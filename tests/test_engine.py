@@ -719,8 +719,8 @@ def test_response_matches_van_loan_expm(point, n_qubits):
                     assert np.all(np.abs(got - want) <= bound), (j, tau)
 
 
-def test_exppoly_rows_are_canonical():
-    solution = run_to_order(make_params(n_max=4), make_schedule(), 4, 1.0)
+def check_rows_canonical(solution):
+    """Every table's ExpPoly rows are canonical and evaluate to its matrix."""
     taus = np.linspace(0.0, solution.schedule.half_period, 5)
     for table in solution.tables:
         rows = table.coefficients
@@ -730,3 +730,19 @@ def test_exppoly_rows_are_canonical():
         want = np.stack([table.matrix(tau) for tau in taus])
         got = oracle_matrices(rows, solution.levels.states, taus)
         assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+
+def test_exppoly_rows_are_canonical():
+    check_rows_canonical(run_to_order(make_params(n_max=4), make_schedule(), 4, 1.0))
+
+
+@pytest.mark.parametrize(
+    "params", [make_params(n_max=2, g_eff=0.0), make_params(n_max=0)], ids=["g_eff=0", "n_max=0"]
+)
+def test_orders_without_coupling_have_no_rows(params):
+    # nothing drives past order 0, so every later table has no terms
+    solution = run_to_order(params, make_schedule(), 4, 1.0)
+    assert solution.tables[0].coefficients
+    for table in solution.tables[1:]:
+        assert table.n_terms == 0 and table.coefficients == {}
+    check_rows_canonical(solution)
