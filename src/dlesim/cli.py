@@ -109,31 +109,36 @@ def response_bound(n_qubits: int, n_max: int, order: int) -> int:
     return (order + 1) * levels * reachable**2
 
 
-def _check_size(config: "RunConfig") -> None:
+def _check_size(config: "RunConfig", engine: bool = False) -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    With dim = 2^N (n_max+1), R reachable states (``reachable_bound``) and
-    J = order, the candidates are the dim x dim Hamiltonian, the exact
-    periods x dim and engine periods x (J+1)R period starts, the engine's
-    (J+1)R x (J+1)R on map, its response coefficients (``response_bound``)
-    and the samples x dim amplitudes.
+    With dim = 2^N (n_max+1), every command is budgeted for the dim x dim
+    Hamiltonian, the exact periods x dim period starts and the samples x dim
+    amplitudes.  With ``engine`` (perturb, compare and sweep), R reachable
+    states (``reachable_bound``) and J = order, so are the engine's
+    periods x (J+1)R period starts, its (J+1)R x (J+1)R on map and its
+    response coefficients (``response_bound``).
     """
     n_max = min(config.params.n_max, 1 << 32)  # the caps keep the ints small
     n_qubits = min(config.n_qubits, 64)
     dim = 2**n_qubits * (n_max + 1)
-    stacked = (config.order + 1) * reachable_bound(n_qubits, n_max)[0]
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow
     samples = config.t_final_ns / config.sample_dt_ns + 1
     switch = "switch_freq_ghz" if config.switch_freq_ghz is not None else "switch_ratio"
-    for elements, cause in (
+    arrays = [
         (dim * dim, "n_qubits and n_max"),
         (periods * dim, f"t_final_ns and {switch}"),
-        (periods * stacked, f"t_final_ns, {switch} and order"),
-        (stacked * stacked, "n_qubits, n_max and order"),
-        (response_bound(n_qubits, n_max, config.order), "n_qubits, n_max and order"),
         (samples * dim, "t_final_ns and sample_dt_ns"),
-    ):
+    ]
+    if engine:
+        stacked = (config.order + 1) * reachable_bound(n_qubits, n_max)[0]
+        arrays += [
+            (periods * stacked, f"t_final_ns, {switch} and order"),
+            (stacked * stacked, "n_qubits, n_max and order"),
+            (response_bound(n_qubits, n_max, config.order), "n_qubits, n_max and order"),
+        ]
+    for elements, cause in arrays:
         if elements > MAX_ARRAY_ELEMENTS:
             raise ConfigError(
                 f"{cause} need {float(elements):.3g} complex numbers in one "
@@ -153,7 +158,8 @@ class RunConfig:
 
     ``params`` and ``schedule``, the run's ``SystemParams`` and
     ``CouplingSchedule`` in rad/ns, are built once, here, so a config that
-    loads is one that every pipeline accepts.
+    loads is one that every pipeline accepts.  The engine's arrays are
+    budgeted by the commands that build it (``build_engine``).
     """
 
     # g_eff_ghz and switch_freq_ghz, also times 2*pi, stay finite by the
@@ -304,7 +310,9 @@ def _closedform_column(
 
 
 def build_engine(config: RunConfig) -> PerturbativeSolution:
-    """The perturbation engine of one config, up to its order."""
+    """The perturbation engine of one config, up to its order, once its
+    arrays are checked against the size budget."""
+    _check_size(config, engine=True)
     return run_to_order(config.params, config.schedule, config.order, config.t_final_ns)
 
 
@@ -378,6 +386,8 @@ def cmd_sweep(
     ]
     # every point is checked against the size budget before the first runs
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
+    for point in configs:
+        _check_size(point, engine=True)
     # the ratio sets only the grid: one engine serves every point
     engine = build_engine(configs[0])
     rows = np.array([_sweep_point(point, engine) for point in configs])

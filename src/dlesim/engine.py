@@ -15,10 +15,11 @@ The order-m response Phi_m(tau) to a unit start vector is built once, over
 a single on segment, so the build does not depend on the number of
 segments.  Every entry is a sum of residues at the bare energies,
 c * tau^k * exp(-i eps_a tau), so one order is one table over
-(power, level, target, source), made from the previous one by gathering
-over the nonzeros of V and integrating every (power, level) slice in
-closed form; Phi_0 is the free phase.  ``ExpPoly`` computes the same
-responses entry by entry and is the tests' oracle.
+(power, level, target, source), made from the previous one by one matrix
+product with V's block among the reachable states and by integrating
+every (power, level) slice in closed form; Phi_0 is the free phase.
+``ExpPoly`` computes the same responses entry by entry and is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ _BATCH_ELEMENTS = 1 << 18
 
 def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
     """Sorted indices of the states connected to ``start`` by couplings."""
-    linked = coupling != 0
+    edges = coupling != 0
     seen = np.zeros(len(coupling), dtype=bool)
     seen[start] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = linked[frontier].any(axis=0) & ~seen
+        frontier = edges[frontier].any(axis=0) & ~seen
         seen |= frontier
     return np.flatnonzero(seen)
 
@@ -65,8 +66,7 @@ class Levels:
     ``states`` are the reachable states and ``energies`` their bare energies.
     ``values`` are the distinct energies, merged as ExpPoly merges rates
     (``RATE_MERGE_TOL``), and ``of_state[i]`` is the level of ``states[i]``.
-    Row i of V among the states has its nonzeros in the columns
-    ``linked[i]``, with ``weights[i]`` (zero-padded to the longest row).
+    ``coupling`` is V among the states, (R, R).
     ``inverse[a, i]`` is 1/mu with mu = i (E_i - eps_a), and 0 where
     ``same[a, i]``: state i sits on level a.
     """
@@ -75,8 +75,7 @@ class Levels:
     energies: np.ndarray
     values: np.ndarray
     of_state: np.ndarray
-    linked: np.ndarray
-    weights: np.ndarray
+    coupling: np.ndarray
     same: np.ndarray
     inverse: np.ndarray
 
@@ -92,12 +91,10 @@ class Levels:
         values = ranked[np.r_[0, opens]]
         of_state = np.empty(len(states), dtype=np.intp)
         of_state[order] = np.searchsorted(opens, np.arange(len(ranked)), side="right")
-        local = coupling[np.ix_(states, states)]
-        linked = np.argsort(local == 0, axis=1, kind="stable")[:, : (local != 0).sum(1).max()]
-        weights = np.take_along_axis(local, linked, axis=1)
         same = of_state == np.arange(len(values))[:, None]
         inverse = np.where(same, 0.0, 1.0 / np.where(same, 1.0, 1j * (energies - values[:, None])))
-        return cls(states, energies, values, of_state, linked, weights, same, inverse)
+        block = coupling[np.ix_(states, states)]
+        return cls(states, energies, values, of_state, block, same, inverse)
 
 
 class OrderTable:
@@ -305,8 +302,10 @@ def zeroth_order(
 def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
     """Phi_j from Phi_{j-1}: i dPhi_j/dtau = E Phi_j + g_eff V Phi_{j-1}, Phi_j(0) = 0.
 
-    A drive term d tau^k exp(-i eps_a tau) on target i, whose own level is
-    b, integrates in closed form.  With mu = i (E_i - eps_a):
+    The drive B = V Phi_{j-1} is one matrix product of every (power, level)
+    slice with V's block among the reachable states.  A drive term
+    d tau^k exp(-i eps_a tau) on target i, whose own level is b, integrates
+    in closed form.  With mu = i (E_i - eps_a):
 
     * a == b: tau^k -> tau^(k+1) / (k+1), the secular term;
     * a != b: tau^(k-m) exp(-i eps_a tau) gets (-1)^m k!/(k-m)! / mu^(m+1) d
@@ -321,13 +320,7 @@ def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
     table = np.zeros(
         (n_powers + 1, len(levels.values), n_states, n_states), dtype=np.complex128
     )
-    # B = V Phi_{j-1}, gathered over the nonzeros of each row of V
-    drive, gathered = np.zeros_like(prev.coeffs), np.empty_like(prev.coeffs)
-    for p in range(levels.linked.shape[1]):
-        np.take(prev.coeffs, levels.linked[:, p], axis=2, out=gathered)
-        gathered *= levels.weights[:, p]
-        drive += gathered
-    del gathered  # one slice set less at the peak, while the table fills
+    drive = prev.coeffs @ levels.coupling.T  # B_u = V C_u, stored as coeffs are
     same, inverse = levels.same, levels.inverse
     constant = np.zeros((n_states, n_states), dtype=np.complex128)
     for k in range(n_powers):

@@ -328,6 +328,26 @@ class TestConfigProbes:
         assert not out.exists()
 
 
+# Within the budget for exact, but not for the engine's arrays, which only
+# perturb, compare and sweep allocate.
+ENGINE_OVERSIZED = [
+    # the engine's on map: ((order + 1) * dim / 2)^2 = 5.9e7 elements
+    pytest.param({"n_qubits": 10, "n_max": 2, "order": 4}, "order", id="on_map"),
+    # the engine's response coefficients: 2 * 12 * 2048^2 = 1.0e8 elements
+    pytest.param(
+        {"n_qubits": 11, "n_max": 1, "order": 1, "t_final_ns": 0.1},
+        "n_qubits, n_max and order",
+        id="response_n11",
+    ),
+    # the engine's response coefficients: 5 * 23 * 640^2 = 4.7e7 elements
+    pytest.param(
+        {"n_qubits": 8, "n_max": 4, "order": 4}, "n_qubits, n_max and order", id="response_n8"
+    ),
+    # at the default order 2: 3 * 17 * 1536^2 = 1.2e8 elements
+    pytest.param({"n_qubits": 10, "n_max": 2}, "n_qubits, n_max and order", id="response_n10"),
+]
+
+
 class TestSizeBudget:
     """Checked from the config alone: none of these runs is ever started."""
 
@@ -343,13 +363,6 @@ class TestSizeBudget:
             ({"sample_dt_ns": 1e-9}, "sample_dt_ns"),
             ({"t_final_ns": 1e300, "sample_dt_ns": 1e-300}, "t_final_ns"),
             ({"t_final_ns": 1e300, "switch_freq_ghz": 1e300}, "switch_freq_ghz"),
-            # the engine's on map: ((order + 1) * dim / 2)^2 = 5.9e7 elements
-            ({"n_qubits": 10, "n_max": 2, "order": 4}, "order"),
-            # the engine's response coefficients: 2 * 12 * 2048^2 = 1.0e8 elements
-            (
-                {"n_qubits": 11, "n_max": 1, "order": 1, "t_final_ns": 0.1},
-                "n_qubits, n_max and order",
-            ),
         ],
     )
     def test_oversized_run_rejected(self, tmp_path, data, field):
@@ -358,6 +371,33 @@ class TestSizeBudget:
         with pytest.raises(ConfigError, match=field) as info:
             load_config(str(path))
         assert f"budget of {MAX_ARRAY_ELEMENTS}" in str(info.value)
+
+    @pytest.mark.parametrize("command", ["perturb", "compare", "sweep"])
+    @pytest.mark.parametrize("data, field", ENGINE_OVERSIZED)
+    def test_oversized_engine_rejected(self, tmp_path, monkeypatch, capsys, command, data, field):
+        monkeypatch.setattr(cli, "propagate", never_runs)
+        monkeypatch.setattr(cli, "run_to_order", never_runs)
+        path, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(data))
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(field, err)
+        assert f"budget of {MAX_ARRAY_ELEMENTS}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, field", ENGINE_OVERSIZED)
+    def test_exact_not_budgeted_for_the_engine(self, tmp_path, monkeypatch, data, field):
+        class Propagated(Exception):
+            pass
+
+        def propagate(*args):
+            raise Propagated  # the run got past every size check
+
+        monkeypatch.setattr(cli, "propagate", propagate)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(Propagated):
+            main(["exact", "--config", str(path), "--out", str(tmp_path / "s.csv")])
 
     def test_override_checked(self):
         with pytest.raises(ConfigError, match="t_final_ns"):
@@ -383,6 +423,17 @@ class TestSizeBudget:
         cfg = fast_config(t_final_ns=100.0)
         with pytest.raises(ConfigError, match="switch_ratio"):
             cmd_sweep(cfg, str(tmp_path / "s.csv"), 1.0, 1e9, 3)
+
+    def test_sweep_checks_every_point_for_the_engine_before_building_it(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(cli, "_sweep_point", never_runs)
+        monkeypatch.setattr(cli, "run_to_order", never_runs)
+        # at ratio 2000 the engine's 5.4e7 period starts pass the budget,
+        # while the exact side's 2.2e7 stay within it
+        cfg = fast_config(order=4, n_max=4, t_final_ns=100.0, sample_dt_ns=1.0)
+        with pytest.raises(ConfigError, match="t_final_ns, switch_ratio and order"):
+            cmd_sweep(cfg, str(tmp_path / "s.csv"), 1.0, 2000.0, 3)
 
     def test_sweep_points_checked_before_any_point_is_built(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "_sweep_point", never_runs)
