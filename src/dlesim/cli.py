@@ -231,17 +231,14 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a flat JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if overrides:
         if "switch_ratio" in overrides and overrides["switch_ratio"] is not None:
             data.pop("switch_freq_ghz", None)
         data.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    unknown = sorted(str(key) for key in data if key not in _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return RunConfig(**data)
 
 
 # Rows formatted per write: the text in memory stays a few hundred kB.

@@ -63,7 +63,8 @@ def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
 class Levels:
     """The subsystem reachable from the initial state, shared by every order.
 
-    ``states`` are the reachable states and ``energies`` their bare energies.
+    ``states`` are the reachable states, ``start`` is the position of the
+    initial state among them and ``energies`` are their bare energies.
     ``values`` are the distinct energies, merged as ExpPoly merges rates
     (``RATE_MERGE_TOL``), and ``of_state[i]`` is the level of ``states[i]``.
     ``coupling`` is V among the states, (R, R).
@@ -72,6 +73,7 @@ class Levels:
     """
 
     states: np.ndarray
+    start: int
     energies: np.ndarray
     values: np.ndarray
     of_state: np.ndarray
@@ -94,39 +96,29 @@ class Levels:
         same = of_state == np.arange(len(values))[:, None]
         inverse = np.where(same, 0.0, 1.0 / np.where(same, 1.0, 1j * (energies - values[:, None])))
         block = coupling[np.ix_(states, states)]
-        return cls(states, energies, values, of_state, block, same, inverse)
+        position = int(np.searchsorted(states, start))
+        return cls(states, position, energies, values, of_state, block, same, inverse)
 
 
 class OrderTable:
-    """One perturbative order: its support and its on-segment response Phi_order.
+    """One perturbative order: its on-segment response Phi_order.
 
-    ``support`` holds the sorted indices of the states this order can reach,
-    and ``dropped_couplings`` counts the photon-raising couplings past the
-    cutoff that it dropped.  Phi_order[i, n](tau) is the order's coefficient
-    of ``levels.states[i]`` after a time tau inside an on segment that
-    started with unit amplitude on ``levels.states[n]``; this order and
-    every later one apply it to the start vectors of lower orders.  It is a
-    residue table over (power, level):
+    Phi_order[i, n](tau) is the order's coefficient of ``levels.states[i]``
+    after a time tau inside an on segment that started with unit amplitude
+    on ``levels.states[n]``; this order and every later one apply it to the
+    start vectors of lower orders.  It is a residue table over (power, level):
     Phi_order(tau) = sum_u tau^powers[u] * exp(rates[u] * tau) * C_u, where
     ``rates[u] = -i * levels.values[term_levels[u]]`` and
     ``coeffs[u, n, i] = C_u[i, n]``.  Built from a dense table
     ``[k, a, n, i]`` over every power and level; only nonzero slices are kept.
+    The order's support is a read of the table's start column.
     """
 
-    def __init__(
-        self,
-        order: int,
-        support: tuple[int, ...],
-        table: np.ndarray,
-        levels: Levels,
-        dropped_couplings: int = 0,
-    ):
+    def __init__(self, order: int, table: np.ndarray, levels: Levels):
         n_powers, n_levels, n_states = table.shape[:3]
         slices = table.reshape(n_powers * n_levels, n_states, n_states)
         kept = np.flatnonzero(slices.any(axis=(1, 2)))
         self.order = order
-        self.support = support
-        self.dropped_couplings = dropped_couplings
         self.levels = levels
         self.term_levels = kept % n_levels
         self.powers = (kept // n_levels).astype(float)
@@ -136,6 +128,13 @@ class OrderTable:
     @property
     def n_terms(self) -> int:
         return len(self.powers)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Sorted indices of the states this order reaches from the initial
+        state: the nonzero rows of Phi_order's start column."""
+        reached = self.coeffs[:, self.levels.start].any(axis=0)
+        return tuple(self.levels.states[reached].tolist())
 
     def _basis(self, tau: np.ndarray) -> np.ndarray:
         """(S, U) values tau^k * exp(rate * tau) of the grouped terms."""
@@ -170,8 +169,8 @@ class OrderTable:
 class PerturbativeSolution:
     """On-segment responses for orders 0..j and the grid walk they drive.
 
-    Every order is over the one reachable subsystem ``levels``.  Immutable
-    once built (the grid walk is made at first use).
+    Every order is over the one reachable subsystem ``levels``, order 0's.
+    Immutable once built (the grid walk is made at first use).
     """
 
     def __init__(
@@ -179,7 +178,6 @@ class PerturbativeSolution:
         params: SystemParams,
         schedule: CouplingSchedule,
         t_final: float,
-        levels: Levels,
         tables: tuple[OrderTable, ...],
     ):
         check_positive(t_final, "t_final")
@@ -187,7 +185,7 @@ class PerturbativeSolution:
         self.schedule = schedule
         self.space = params.space()
         self.t_final = t_final
-        self.levels = levels
+        self.levels = tables[0].levels
         self.tables = tables
 
     @property
@@ -196,17 +194,19 @@ class PerturbativeSolution:
 
     @property
     def dropped_couplings(self) -> tuple[int, ...]:
-        """Per order, how many beyond-cutoff photon-raising couplings were dropped."""
-        return tuple(table.dropped_couplings for table in self.tables)
+        """Per order, how many beyond-cutoff photon-raising couplings were dropped:
+        none at order 0, and N for each state of order j-1 at the cutoff."""
+        space = self.space
+        photons = (space.photon_counts[list(t.support)] for t in self.tables[:-1])
+        return (0, *(space.n_qubits * int((p == space.n_max).sum()) for p in photons))
 
     def extended(self, table: OrderTable) -> "PerturbativeSolution":
         if table.order != self.order + 1:
             raise ValueError(
                 f"expected order {self.order + 1} table, got order {table.order}"
             )
-        return PerturbativeSolution(
-            self.params, self.schedule, self.t_final, self.levels, self.tables + (table,)
-        )
+        tables = self.tables + (table,)
+        return PerturbativeSolution(self.params, self.schedule, self.t_final, tables)
 
     def retimed(
         self, schedule: CouplingSchedule, t_final: float
@@ -215,7 +215,7 @@ class PerturbativeSolution:
 
         The responses depend on ``params`` alone, not on the period.
         """
-        return PerturbativeSolution(self.params, schedule, t_final, self.levels, self.tables)
+        return PerturbativeSolution(self.params, schedule, t_final, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
         return self.tables[check_integer(order, "order", 0, self.order)].support
@@ -228,7 +228,7 @@ class PerturbativeSolution:
         orders = range(len(blocks))
         on_map = np.block([[blocks[j - i] if j >= i else zero for j in orders] for i in orders])
         first = np.zeros(len(on_map), dtype=np.complex128)
-        first[np.searchsorted(self.levels.states, self.support(0))] = 1.0
+        first[self.levels.start] = 1.0
         energies = np.tile(self.levels.energies, len(self.tables))
         edges = switching_grid(self.schedule, self.t_final)
         return SegmentWalk(self.schedule, edges, first, on_map, energies)
@@ -295,8 +295,7 @@ def zeroth_order(
     diagonal = np.arange(n_states)
     table = np.zeros((1, len(levels.values), n_states, n_states), dtype=np.complex128)
     table[0, levels.of_state, diagonal, diagonal] = 1.0
-    order0 = OrderTable(0, (initial_index,), table, levels)
-    return PerturbativeSolution(params, schedule, t_final, levels, (order0,))
+    return PerturbativeSolution(params, schedule, t_final, (OrderTable(0, table, levels),))
 
 
 def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
@@ -344,23 +343,11 @@ def _next_response(prev: OrderTable, g_eff: float) -> np.ndarray:
 def next_order(prev: PerturbativeSolution) -> OrderTable:
     """Build order j = prev.order + 1 from the orders already in prev.
 
-    The on-segment response Phi_j comes from Phi_{j-1}; the support is every
-    state coupled to the previous order's support.  Couplings that would
-    raise the photon number beyond the cutoff are dropped and counted.
+    The order is its response Phi_j, made from Phi_{j-1}; its support is
+    read from Phi_j, so at g_eff = 0 it is empty.
     """
-    space = prev.space
-    g_eff = prev.params.g_eff
-    prev_support = list(prev.support(prev.order))
-
-    dropped = space.n_qubits * sum(
-        1 for index in prev_support if space.photon_counts[index] == space.n_max
-    )
-    support: tuple[int, ...] = ()
-    if g_eff != 0.0:
-        coupled = space.coupling[:, prev_support].any(axis=1)
-        support = tuple(np.flatnonzero(coupled).tolist())
-    table = _next_response(prev.tables[-1], g_eff)
-    return OrderTable(prev.order + 1, support, table, prev.levels, dropped)
+    table = _next_response(prev.tables[-1], prev.params.g_eff)
+    return OrderTable(prev.order + 1, table, prev.levels)
 
 
 def run_to_order(

@@ -39,9 +39,14 @@ class HilbertSpace:
         self.coupling.setflags(write=False)
 
     def index_of(self, bits: Sequence[int], photons: int) -> int:
-        """Inverse of the enumeration order: photons * 2^N + bit code."""
+        """Inverse of the enumeration order: photons * 2^N + bit code.
+
+        Each bit is an integer 0 or 1 (numpy integers too); a bool is not."""
         bits = tuple(bits)
-        if len(bits) != self.n_qubits or any(bit not in (0, 1) for bit in bits):
+        if len(bits) != self.n_qubits or not all(
+            isinstance(bit, numbers.Integral) and not isinstance(bit, bool) and bit in (0, 1)
+            for bit in bits
+        ):
             raise ValueError(f"need {self.n_qubits} qubit bits of 0 or 1, got {bits}")
         photons = check_integer(photons, "photons", 0, self.n_max)
         code = sum(int(bit) << (self.n_qubits - 1 - q) for q, bit in enumerate(bits))

@@ -30,9 +30,12 @@ def segments(config: RunConfig) -> int:
 
 
 # Per command: extra arguments, the configs whose grids it walks (each
-# once per pipeline that samples it) and its engine evaluations.
+# once per pipeline that samples it) and its engine evaluations.  perturb
+# builds the engine but sums the amplitudes itself, past the traced
+# evaluation, so its count is not checked (None).
 PIPELINES = {
     "exact": ([], lambda c: [c], 0),
+    "perturb": ([], lambda c: [c], None),
     "compare": ([], lambda c: [c, c], 1),
     "sweep": (
         ["--ratio-min", "10", "--ratio-max", "20", "--points", "2"],
@@ -72,14 +75,16 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command):
     run = RunConfig(**config)
     assert metrics["hilbert.dim"] == run.params.space().dim
     assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
-    assert metrics["propagator.decompose_s"] > 0
-    assert metrics["engine.evals"] == evals
+    if command != "perturb":  # the one command that never propagates
+        assert metrics["propagator.decompose_s"] > 0
+    if evals is not None:
+        assert metrics["engine.evals"] == evals
     # the hook sees write_csv's positional (path, header, rows) and counts len(rows)
     assert metrics["cli.csv_s"] > 0
     assert metrics["cli.csv_rows"] == len(out_path.read_text().splitlines()) - 1
     if command == "compare":
         assert metrics["closedform2q.evals"] == 1
-    if evals:
+    if command != "exact":
         assert metrics["engine.build_s"] > 0
         for j in range(run.order + 1):
             assert metrics[f"engine.order{j}_terms"] > 0

@@ -127,6 +127,15 @@ class TestLoadConfig:
         assert cfg.switch_ratio == 10.0
         assert cfg.switch_freq_ghz is None
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(None, {"bogus": 1})
+        assert str(excinfo.value) == "unknown config keys: bogus"
+
+    def test_non_string_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown config keys: 1$"):
+            load_config(None, {1: 2})
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -174,6 +174,37 @@ class TestRunToOrder:
             run_to_order(make_params(), make_schedule(), 2, t_final)
 
 
+def walked_supports(space, start, order, coupled):
+    """Per order 0..order, the states reached from ``start`` by walks of that
+    many steps on the nonzeros of ``space.coupling``; none past order 0
+    unless ``coupled``."""
+    edges = space.coupling != 0
+    reached = np.zeros(space.dim, dtype=bool)
+    reached[start] = True
+    supports = []
+    for _ in range(order + 1):
+        supports.append(tuple(np.flatnonzero(reached).tolist()))
+        reached = edges[:, reached].any(axis=1) & coupled
+    return supports
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 5))
+@pytest.mark.parametrize("n_max", range(4))
+@pytest.mark.parametrize(
+    "omega0, g_eff", [(W0, G), (WC, G), (W0, 0.0)], ids=["paper", "resonant", "g=0"]
+)
+def test_support_and_dropped_couplings_follow_the_coupling_graph(n_qubits, n_max, omega0, g_eff):
+    # the engine reads both from its responses; here they come from V's graph
+    params = SystemParams(omega0, WC, g_eff, n_qubits, n_max)
+    space = params.space()
+    for start in range(space.dim):
+        sol = run_to_order(params, make_schedule(), 4, 1.0, start)
+        walked = walked_supports(space, start, 4, g_eff != 0.0)
+        assert [sol.support(j) for j in range(5)] == walked, start
+        at_cutoff = [int((space.photon_counts[list(s)] == n_max).sum()) for s in walked[:-1]]
+        assert sol.dropped_couplings == (0, *(n_qubits * k for k in at_cutoff)), start
+
+
 # (n_qubits, n_max, ratio, order): one to three qubits, cutoffs 1 to 3
 SUPPORT_POINTS = [(1, 3, 2.5, 4), (2, 2, 20.0, 4), (3, 1, 200.0, 3)]
 

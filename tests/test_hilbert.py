@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ def test_index_of_inverts_enumeration():
         space = HilbertSpace(n_qubits, n_max)
         for k, (bits, photons) in enumerate(configurations(space)):
             assert space.index_of(bits, photons) == k
+            # numpy integers, as the arrays hold them, are bits and counts too
+            assert space.index_of(space.bit_table[k], space.photon_counts[k]) == k
             assert space.label(k) == "|" + "".join("ge"[b] for b in bits) + f",{photons}>"
 
 
@@ -112,6 +115,24 @@ def test_index_of_rejects_bad_input():
     # a bool photon count is rejected, as check_index rejects a bool index
     with pytest.raises(ValueError, match="photons"):
         space.index_of((0, 0), True)
+
+
+NOT_BITS = {
+    "True": True,
+    "False": False,
+    "numpy-bool": np.True_,
+    "float-one": 1.0,
+    "float-zero": 0.0,
+    "numpy-float": np.float64(1.0),
+    "fraction": Fraction(1),
+}
+
+
+@pytest.mark.parametrize("bit", NOT_BITS.values(), ids=NOT_BITS.keys())
+def test_index_of_rejects_a_bit_that_is_not_an_integer(bit):
+    # a bool or a float equal to 0 or 1 is no bit, as a bool photon count is no count
+    with pytest.raises(ValueError, match=r"^need 2 qubit bits of 0 or 1, got "):
+        HilbertSpace(2, 1).index_of((bit, 0), 1)
 
 
 def test_ground_state_probabilities():
