@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 
 from .closedform2q import SPACE, ResonanceError, closedform_state, degenerate
 from .engine import PerturbativeSolution, run_to_order
-from .hilbert import norm, qubit_excitation
+from .hilbert import _shown, check_number, norm, qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
 from .propagator import propagate, sample_times
 
@@ -46,45 +45,16 @@ MAX_SWEEP_POINTS = 1 << 16
 def check_field(
     name: str, value, kind: type, above=None, at_least=None, within=None, ghz=False
 ) -> None:
-    """ConfigError naming ``name`` unless ``value`` is of ``kind`` and in range.
-
-    ``kind`` float takes a finite number, int an integer; a bool is neither.
-    The range is ``> above``, ``>= at_least`` or ``in within``, a closed
-    [lo, hi]; a ``ghz`` value must also stay finite in rad/ns.
-    """
+    """ConfigError naming ``name`` unless ``check_number`` takes ``value``;
+    a ``ghz`` value must also stay finite in rad/ns."""
     try:
-        ok = not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral) if kind is int
-            else isinstance(value, numbers.Real) and math.isfinite(value)
-        )
-    except OverflowError:  # an integer past the float range
-        ok = False
-    if not ok:
-        kind_text = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{name} must be {kind_text}, got {_shown(value, repr(value))}")
-    bound = None
-    if above is not None and not value > above:
-        bound = f"> {above}"
-    elif at_least is not None and not value >= at_least:
-        bound = f">= {at_least}"
-    elif within is not None and not within[0] <= value <= within[1]:
-        bound = f"in [{within[0]}, {within[1]}]"
-    if bound is not None:
-        raise ConfigError(f"{name} must be {bound}, got {_shown(value, str(value))}")
+        check_number(name, value, kind, above, at_least, within)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if ghz and math.isinf(TWO_PI * value):
         raise ConfigError(
             f"{name} = {_shown(value, repr(value))} GHz is not finite in rad/ns (times 2*pi)"
         )
-
-
-def _shown(value, text: str) -> str:
-    """``text``, a message's echo of ``value``, or its length where it is long
-    (a JSON integer may have thousands of digits)."""
-    if len(text) <= 40:
-        return text
-    if isinstance(value, numbers.Integral):
-        return f"a {len(text.lstrip('-'))}-digit integer"
-    return f"a {len(text)}-character value"
 
 
 def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace
+from .hilbert import HilbertSpace, check_number
 from .model import CouplingSchedule, SystemParams
 
 # The (N=2, n_max=1) basis the closed forms live on.
@@ -187,8 +187,8 @@ def scan_divergence_locations(
     precision and mapped back to the family's primary location through the
     odd-integer alias ladder.
     """
-    if not 0 < varpi_min < varpi_max:
-        raise ValueError("need 0 < varpi_min < varpi_max")
+    check_number("varpi_min", varpi_min, above=0)
+    check_number("varpi_max", varpi_max, above=varpi_min)
     grid = np.geomspace(varpi_min, varpi_max, SCAN_POINTS)
     poles: list[DivergencePole] = []
     for family, primary_fn in _FAMILIES:

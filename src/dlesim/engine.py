@@ -32,13 +32,12 @@ import numpy as np
 
 from .exppoly import RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import check_integer, qubit_excitation
+from .hilbert import check_number, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
     SystemParams,
     bare_energies,
-    check_positive,
     row_products,
     switching_grid,
 )
@@ -180,7 +179,7 @@ class PerturbativeSolution:
         t_final: float,
         tables: tuple[OrderTable, ...],
     ):
-        check_positive(t_final, "t_final")
+        check_number("t_final", t_final, above=0)
         self.params = params
         self.schedule = schedule
         self.space = params.space()
@@ -218,7 +217,7 @@ class PerturbativeSolution:
         return PerturbativeSolution(self.params, schedule, t_final, self.tables)
 
     def support(self, order: int) -> tuple[int, ...]:
-        return self.tables[check_integer(order, "order", 0, self.order)].support
+        return self.tables[check_number("order", order, int, within=(0, self.order))].support
 
     @cached_property
     def walk(self) -> SegmentWalk:
@@ -254,7 +253,7 @@ class PerturbativeSolution:
 
     def coefficient(self, order: int, state_index: int, t: float) -> complex:
         """alpha^(order) for one basis state at time t; exactly 0 off the order's support."""
-        order = check_integer(order, "order", 0, self.order)
+        order = check_number("order", order, int, within=(0, self.order))
         state_index = self.space.check_index(state_index, "state_index")
         return complex(self._evaluate(np.array([float(t)]), order, order)[0, state_index])
 
@@ -263,9 +262,8 @@ class PerturbativeSolution:
     ) -> np.ndarray:
         """Summed coefficients of orders 0..max_order (default all):
         (dim,) for a scalar time, one row per time (S, dim) for an array."""
-        max_order = check_integer(
-            self.order if max_order is None else max_order, "max_order", 0, self.order
-        )
+        max_order = self.order if max_order is None else max_order
+        max_order = check_number("max_order", max_order, int, within=(0, self.order))
         times = np.asarray(times, dtype=float)
         amplitudes = self._evaluate(times.reshape(-1), 0, max_order)
         return amplitudes[0] if times.ndim == 0 else amplitudes
@@ -358,7 +356,7 @@ def run_to_order(
     initial: int = 0,
 ) -> PerturbativeSolution:
     """Iterate the recursion up to order j_max over the grid covering [0, t_final]."""
-    j_max = check_integer(j_max, "j_max", 0)
+    j_max = check_number("j_max", j_max, int, at_least=0)
     solution = zeroth_order(params, schedule, t_final, initial)
     for _ in range(j_max):
         solution = solution.extended(next_order(solution))

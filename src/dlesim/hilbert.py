@@ -8,8 +8,9 @@ index = photons * 2^N + bit code, so |gg...g,0> is always index 0.
 
 from __future__ import annotations
 
+import math
 import numbers
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +25,8 @@ class HilbertSpace:
     """
 
     def __init__(self, n_qubits: int, n_max: int):
-        self.n_qubits = n_qubits = check_integer(n_qubits, "n_qubits", 1)
-        self.n_max = n_max = check_integer(n_max, "n_max", 0)
+        self.n_qubits = n_qubits = check_number("n_qubits", n_qubits, int, at_least=1)
+        self.n_max = n_max = check_number("n_max", n_max, int, at_least=0)
         self.dim = 2**n_qubits * (n_max + 1)
         self.photon_counts, codes = np.divmod(np.arange(self.dim, dtype=np.int64), 2**n_qubits)
         # dim x n_qubits bits, first qubit the most significant bit of the code
@@ -48,7 +49,7 @@ class HilbertSpace:
             for bit in bits
         ):
             raise ValueError(f"need {self.n_qubits} qubit bits of 0 or 1, got {bits}")
-        photons = check_integer(photons, "photons", 0, self.n_max)
+        photons = check_number("photons", photons, int, within=(0, self.n_max))
         code = sum(int(bit) << (self.n_qubits - 1 - q) for q, bit in enumerate(bits))
         return photons * 2**self.n_qubits + code
 
@@ -61,21 +62,50 @@ class HilbertSpace:
     def check_index(self, index: int, name: str = "index") -> int:
         """``index`` as an int, or ValueError naming ``name`` unless it is a
         basis index, an integer in [0, dim)."""
-        return check_integer(index, name, 0, self.dim - 1)
+        return check_number(name, index, int, within=(0, self.dim - 1))
 
     def __repr__(self):
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"
 
 
-def check_integer(value: int, name: str, lo: int, hi: Optional[int] = None) -> int:
-    """``value`` as an int, or ValueError naming ``name`` unless it is an
-    integer in [lo, hi] (no upper bound when ``hi`` is None); a bool is not."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi)
-    ):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
-    return int(value)
+def check_number(name: str, value, kind: type = float, above=None, at_least=None, within=None):
+    """``value``, as an int when ``kind`` is int, or ValueError naming ``name``
+    unless it is of ``kind`` and in range.
+
+    ``kind`` float takes a finite number, int an integer; a bool is neither.
+    The range is ``> above``, ``>= at_least`` or ``in within``, a closed
+    [lo, hi].  The one number check of the library and the config.
+    """
+    try:
+        ok = not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if kind is int
+            else isinstance(value, numbers.Real) and math.isfinite(value)
+        )
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok:
+        kind_text = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {kind_text}, got {_shown(value, repr(value))}")
+    bound = None
+    if above is not None and not value > above:
+        bound = f"> {above}"
+    elif at_least is not None and not value >= at_least:
+        bound = f">= {at_least}"
+    elif within is not None and not within[0] <= value <= within[1]:
+        bound = f"in [{within[0]}, {within[1]}]"
+    if bound is not None:
+        raise ValueError(f"{name} must be {bound}, got {_shown(value, str(value))}")
+    return int(value) if kind is int else value
+
+
+def _shown(value, text: str) -> str:
+    """``text``, a message's echo of ``value``, or its length where it is long
+    (a JSON integer may have thousands of digits)."""
+    if len(text) <= 40:
+        return text
+    if isinstance(value, numbers.Integral):
+        return f"a {len(text.lstrip('-'))}-digit integer"
+    return f"a {len(text)}-character value"
 
 
 def _unit_coupling(photons: np.ndarray, codes: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -108,7 +138,7 @@ def qubit_excitation(
     result has the leading shape.  Each row is reduced on its own, as in
     ``norm``, so its bits do not depend on the batch.  Not renormalized.
     """
-    qubit_index = check_integer(qubit_index, "qubit_index", 0, space.n_qubits - 1)
+    qubit_index = check_number("qubit_index", qubit_index, int, within=(0, space.n_qubits - 1))
     weights = np.abs(amplitudes) ** 2
     weights *= space.bit_table[:, qubit_index]
     return weights.sum(axis=-1)

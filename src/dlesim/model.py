@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, check_integer
+from .hilbert import HilbertSpace, check_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,12 +26,6 @@ class LaplacePoleError(ValueError):
 
 # |1 + exp(-T_s s / 2)| below this signals the odd-harmonic pole family
 _POLE_TOL = 1e-9
-
-
-def check_positive(value: float, name: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is finite and > 0 (nan is not)."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,17 +44,16 @@ class SystemParams:
     n_max: int
 
     def __post_init__(self):
-        check_positive(self.omega0, "omega0")
-        check_positive(self.omega_c, "omega_c")
-        if not 0 <= self.g_eff < math.inf:
-            raise ValueError(f"g_eff must be finite and >= 0, got {self.g_eff}")
+        check_number("omega0", self.omega0, above=0)
+        check_number("omega_c", self.omega_c, above=0)
+        check_number("g_eff", self.g_eff, at_least=0)
         if self.g_eff >= self.omega0 or self.g_eff >= self.omega_c:
             raise ValueError(
                 "perturbative validity requires g_eff < omega0 and g_eff < omega_c; "
                 f"got g_eff={self.g_eff}, omega0={self.omega0}, omega_c={self.omega_c}"
             )
-        check_integer(self.n_qubits, "n_qubits", 1)
-        check_integer(self.n_max, "n_max", 0)
+        check_number("n_qubits", self.n_qubits, int, at_least=1)
+        check_number("n_max", self.n_max, int, at_least=0)
 
     def space(self) -> HilbertSpace:
         return _space(self.n_qubits, self.n_max)
@@ -89,11 +82,11 @@ class CouplingSchedule:
     t_period: float
 
     def __post_init__(self):
-        check_positive(self.t_period, "t_period")
+        check_number("t_period", self.t_period, above=0)
 
     @classmethod
     def from_switching_frequency(cls, switching_frequency: float) -> "CouplingSchedule":
-        check_positive(switching_frequency, "switching_frequency")
+        check_number("switching_frequency", switching_frequency, above=0)
         return cls(t_period=TWO_PI / switching_frequency)
 
     @property
@@ -115,7 +108,7 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     The last edge is clipped to t_final, and there is always at least one
     segment; the coupling is on in segment k when k is even, off when k is odd.
     """
-    check_positive(t_final, "t_final")
+    check_number("t_final", t_final, above=0)
     h = schedule.half_period
     n_full = int(math.floor(t_final / h + 1e-12))
     edges = np.arange(n_full + 1) * h

@@ -15,13 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace, norm, photon_expectation, qubit_excitation
+from .hilbert import HilbertSpace, check_number, norm, photon_expectation, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
     SystemParams,
     bare_energies,
-    check_positive,
     hamiltonian_matrix,
     row_products,
     switching_grid,
@@ -72,8 +71,8 @@ class _SegmentPropagator:
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     """Multiples of sample_dt in [0, t_final], with t_final always included."""
-    check_positive(t_final, "t_final")
-    check_positive(sample_dt, "sample_dt")
+    check_number("t_final", t_final, above=0)
+    check_number("sample_dt", sample_dt, above=0)
     n = int(math.floor(t_final / sample_dt + 1e-9))
     times = np.arange(n + 1, dtype=float) * sample_dt
     times = times[times <= t_final * (1 + 1e-12)]
@@ -127,8 +126,7 @@ def convergence_check(
 ) -> float:
     """sup|P(n_max) - P(n_max + 1)| over [0, t_final]: how much one qubit's
     excitation probability moves when the photon cutoff is raised by one."""
-    if params.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {params.n_max}")
+    check_number("n_max", params.n_max, int, at_least=1)
     if sample_dt is None:
         sample_dt = t_final / 1000.0
     bigger = replace(params, n_max=params.n_max + 1)

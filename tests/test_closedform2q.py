@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -346,6 +347,21 @@ class TestScan:
         }
         assert ("twice qubit frequency", 0) in orders
         assert ("twice qubit frequency", 1) in orders
+
+    @pytest.mark.parametrize(
+        "varpi_min, varpi_max, name",
+        [
+            (1.0, math.inf, "varpi_max"),
+            (math.nan, 1.0, "varpi_min"),
+            (True, 10.0, "varpi_min"),
+            (0.0, 1.0, "varpi_min"),
+            (2.0, 1.0, "varpi_max"),
+        ],
+    )
+    def test_rejects_a_bad_bound_by_name(self, varpi_min, varpi_max, name):
+        params, _ = make_params()
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            scan_divergence_locations(params, varpi_min, varpi_max)
 
 
 class TestRandomDrawInvariants:

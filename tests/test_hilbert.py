@@ -55,9 +55,9 @@ def test_rejects_zero_qubits():
 
 
 def test_rejects_bool_sizes():
-    with pytest.raises(ValueError, match="^n_qubits must be an integer >= 1, got True"):
+    with pytest.raises(ValueError, match="^n_qubits must be an integer, got True$"):
         HilbertSpace(True, 2)
-    with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got True"):
+    with pytest.raises(ValueError, match="^n_max must be an integer, got True$"):
         HilbertSpace(2, True)
 
 

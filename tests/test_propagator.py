@@ -300,9 +300,9 @@ class TestSampleTimes:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_arguments(self, value):
-        with pytest.raises(ValueError, match="^t_final must be finite"):
+        with pytest.raises(ValueError, match=f"^t_final must be a finite number, got {value}$"):
             sample_times(value, 0.01)
-        with pytest.raises(ValueError, match="^sample_dt must be finite"):
+        with pytest.raises(ValueError, match=f"^sample_dt must be a finite number, got {value}$"):
             sample_times(1.0, value)
 
 

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from dlesim import cli
 from dlesim.closedform2q import _nearest_pole
 from dlesim.engine import run_to_order
-from dlesim.hilbert import HilbertSpace, qubit_excitation
+from dlesim.hilbert import HilbertSpace, check_number, qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
 from dlesim.propagator import propagate
 from test_csv import SPECIAL, assert_matches_reference
@@ -162,6 +162,38 @@ def test_single_field_config_is_rejected_or_ready_to_run(field, value):
         return
     assert isinstance(config.params, SystemParams)
     assert isinstance(config.schedule, CouplingSchedule)
+
+
+def raised(error, check, *args, **kwargs):
+    """The message of the ``error`` that ``check`` raises, or None."""
+    try:
+        check(*args, **kwargs)
+    except error as exc:
+        return str(exc)
+    return None
+
+
+json_values = st.recursive(
+    config_values,
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(fields(cli.RunConfig)), value=json_values)
+def test_config_check_is_the_library_check(field, value):
+    """``check_field`` rejects a value exactly when ``check_number`` does, with
+    its text; the one exception is a GHz value whose 2*pi multiple overflows."""
+    bounds = {k: v for k, v in field.metadata.items() if k != "ghz"}
+    library = raised(ValueError, check_number, field.name, value, **bounds)
+    config = raised(cli.ConfigError, cli.check_field, field.name, value, **field.metadata)
+    if library is None and config is not None:
+        assert field.metadata.get("ghz"), config
+        assert config.endswith(" GHz is not finite in rad/ns (times 2*pi)")
+    else:
+        assert config == library
 
 
 @settings(max_examples=200, deadline=None)
