@@ -4,7 +4,7 @@ Three independent pipelines compute the same excitation probabilities from
 the same (SystemParams, CouplingSchedule) pair: exact piecewise-constant
 propagation, a general order-by-order perturbation engine over residue
 tables (with ExpPoly, the exact exponential-polynomial algebra, as its
-oracle), and closed-form second-order solutions for the two-qubit case.
+oracle), and closed-form second-order solutions, placed at every N.
 """
 
 import os

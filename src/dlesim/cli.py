@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closedform2q import SPACE, ResonanceError, closedform_state, degenerate
+from .closedform2q import ResonanceError, closedform_state, degenerate
 from .engine import PerturbativeSolution, run_to_order
 from .hilbert import _shown, check_number, norm, qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams
@@ -259,9 +259,9 @@ def _closedform_column(
 ) -> tuple[Optional[np.ndarray], bool]:
     """Closed-form probabilities when the oracle applies, else (None, guard_hit)."""
     params = config.params
-    if not (params.n_qubits == 2 and params.n_max >= 1 and config.order >= 2):
+    if not (params.n_max >= 1 and config.order >= 2):
         return None, False
-    if degenerate(params):
+    if params.n_qubits >= 2 and degenerate(params):
         print(
             "closed-form column skipped: omega0_ghz equals omega_c_ghz, "
             "where the second-order closed form is singular",
@@ -273,7 +273,7 @@ def _closedform_column(
     except ResonanceError as exc:
         print(f"closed-form column skipped: {exc}", file=sys.stderr)
         return None, True
-    return qubit_excitation(amps, SPACE, config.qubit_index), False
+    return qubit_excitation(amps, params.space(), config.qubit_index), False
 
 
 def build_engine(config: RunConfig) -> PerturbativeSolution:

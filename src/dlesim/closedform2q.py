@@ -1,4 +1,4 @@
-"""Closed-form second-order solutions for two qubits and at most one photon.
+"""Closed-form second-order solutions, printed for two qubits, at every N.
 
 These are the analytic first- and second-order coefficients for the
 ground-start problem, implemented exactly as printed, including their known
@@ -10,7 +10,7 @@ does not vanish exactly at t = 0).  The module serves as an independent
 oracle for the engine and as the source of the resonance predictions.
 Every coefficient takes a time or an array of times and the (SystemParams,
 CouplingSchedule) pair of the other two pipelines, of which it reads only
-omega0, omega_c, g_eff and t_period: the basis is always ``SPACE``.
+omega0, omega_c, g_eff and t_period; ``closedform_state`` fills params.space().
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HilbertSpace, check_number
+from .hilbert import check_number
 from .model import CouplingSchedule, SystemParams
 
-# The (N=2, n_max=1) basis the closed forms live on.
-SPACE = HilbertSpace(2, 1)
 # Relative half-width of the guard band around each pole.
 EPS_RES = 1e-6
 # Log-spaced switching frequencies of the sign-change scan.
@@ -76,24 +74,19 @@ def _nearest_pole(varpi_s: float, primary: float) -> tuple[Optional[float], int]
     """Pole of the family primary/(2m+1) closest to varpi_s, with its order m."""
     if primary <= 0:
         return None, -1
-    m = round((primary / varpi_s - 1.0) / 2.0)
-    if m < 0:
-        m = 0
+    m = max(0, round((primary / varpi_s - 1.0) / 2.0))
     return primary / (2 * m + 1), m
 
 
-def _guard(params: SystemParams, schedule: CouplingSchedule, families: tuple[str, ...]) -> None:
+def _guard(params: SystemParams, schedule: CouplingSchedule, families=_FAMILIES) -> None:
     varpi_s = schedule.switching_frequency
-    for name, primary_fn in _FAMILIES:
-        if name not in families:
-            continue
+    for name, primary_fn in families:
         pole, _ = _nearest_pole(varpi_s, primary_fn(params))
         if pole is not None and abs(varpi_s - pole) < EPS_RES * pole:
             raise ResonanceError(name, pole, varpi_s)
 
 
-_SUM_ONLY = ("sum frequency",)
-_ALL_FAMILIES = tuple(name for name, _ in _FAMILIES)
+_SUM_ONLY = _FAMILIES[1:2]  # the one denominator of alpha1_ge1 and alpha2_gg0
 
 
 def alpha1_ge1(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
@@ -132,7 +125,7 @@ def alpha2_gg0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> co
 
 def alpha2_ee0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Second-order coefficient of the doubly excited, zero-photon state."""
-    _guard(params, schedule, _ALL_FAMILIES)
+    _guard(params, schedule)
     w0 = params.omega0
     wc = params.omega_c
     if degenerate(params):
@@ -155,14 +148,20 @@ def alpha2_ee0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> co
 
 
 def closedform_state(times: Times, params: SystemParams, schedule: CouplingSchedule) -> np.ndarray:
-    """Unnormalized truncated second-order states over ``SPACE``, one row per time."""
+    """Unnormalized truncated second-order states over ``params.space()``, one row per time.
+
+    A path of order <= 2 moves at most two qubits, so by permutation symmetry
+    every |e_q,1> gets alpha1_ge1, every |e_q e_r,0> alpha2_ee0 and
+    |g...g,0> one loop alpha2_gg0/2 per qubit."""
     times = np.asarray(times, dtype=float).reshape(-1)
+    space = params.space()
+    excited, photons = space.excitation_counts, space.photon_counts
     alpha1 = alpha1_ge1(times, params, schedule)
-    amps = np.zeros((len(times), SPACE.dim), dtype=np.complex128)
-    amps[:, SPACE.index_of((0, 0), 0)] = 1.0 + alpha2_gg0(times, params, schedule)
-    amps[:, SPACE.index_of((1, 1), 0)] = alpha2_ee0(times, params, schedule)
-    amps[:, SPACE.index_of((0, 1), 1)] = alpha1
-    amps[:, SPACE.index_of((1, 0), 1)] = alpha1
+    amps = np.zeros((len(times), space.dim), dtype=np.complex128)
+    amps[:, 0] = 1.0 + 0.5 * params.n_qubits * alpha2_gg0(times, params, schedule)
+    if params.n_qubits >= 2:
+        amps[:, (excited == 2) & (photons == 0)] = alpha2_ee0(times, params, schedule)[:, None]
+    amps[:, (excited == 1) & (photons == 1)] = alpha1[:, None]
     return amps
 
 
@@ -189,6 +188,14 @@ def scan_divergence_locations(
     """
     check_number("varpi_min", varpi_min, above=0)
     check_number("varpi_max", varpi_max, above=varpi_min)
+    # the phase c/varpi's step at the grid's low edge; past pi/2 it can skip poles
+    c_max = 0.5 * math.pi * max(primary(params) for _, primary in _FAMILIES)
+    log_ratio = (math.log(varpi_max) - math.log(varpi_min)) / (SCAN_POINTS - 1)
+    step = -c_max / varpi_min * math.expm1(-log_ratio)
+    if not step < 0.5 * math.pi:
+        raise ValueError(
+            f"varpi_min must be larger for a phase step < pi/2, got {varpi_min!r} (step {step:.3g})"
+        )
     grid = np.geomspace(varpi_min, varpi_max, SCAN_POINTS)
     poles: list[DivergencePole] = []
     for family, primary_fn in _FAMILIES:
@@ -211,13 +218,6 @@ def scan_divergence_locations(
             root = 0.5 * (lo + hi)
             # root satisfies c/root = pi/2 + m*pi, so primary = root*(2m+1)
             m = round(c / (root * math.pi) - 0.5)
-            poles.append(
-                DivergencePole(
-                    varpi_s=root,
-                    primary=root * (2 * m + 1),
-                    family=family,
-                    alias_order=int(m),
-                )
-            )
+            poles.append(DivergencePole(root, root * (2 * m + 1), family, m))
     poles.sort(key=lambda pole: pole.varpi_s)
     return poles

@@ -67,10 +67,14 @@ def traced_metrics(tmp_path, command, config, extra=()):
     return layer_metrics(json.loads(spans_path.read_text())), out_path
 
 
-@pytest.mark.parametrize("command", sorted(PIPELINES))
-def test_traced_pipeline_reports_every_layer(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, config",
+    [pytest.param(command, {"t_final_ns": 1.0}, id=command) for command in sorted(PIPELINES)]
+    # the closed-form column fills the run's own basis, dim 24, at N=3 too
+    + [pytest.param("compare", {"t_final_ns": 1.0, "n_qubits": 3}, id="compare-n_qubits=3")],
+)
+def test_traced_pipeline_reports_every_layer(tmp_path, command, config):
     extra, walked, evals = PIPELINES[command]
-    config = {"t_final_ns": 1.0}
     metrics, out_path = traced_metrics(tmp_path, command, config, extra)
     run = RunConfig(**config)
     assert metrics["hilbert.dim"] == run.params.space().dim

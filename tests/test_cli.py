@@ -548,6 +548,36 @@ class TestCmdCompare:
         _, rows = read_csv(out)
         assert all(row[3] is None for row in rows)
 
+    def test_closedform_column_filled_at_four_qubits(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert cmd_compare(fast_config(n_qubits=4), str(out)) == EXIT_OK
+        _, rows = read_csv(out)
+        assert all(row[3] is not None and row[5] <= 1e-4 for row in rows)
+
+    def test_resonant_ratio_flags_closedform_column_at_four_qubits(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert cmd_compare(fast_config(n_qubits=4, switch_ratio=2.0), str(out)) == EXIT_GUARD
+        _, rows = read_csv(out)
+        assert all(row[3] is None and row[5] is None for row in rows)
+        assert all(row[1] is not None and row[2] is not None for row in rows)
+
+    def test_one_qubit_at_degenerate_frequencies_fills_closedform(self, tmp_path):
+        # alpha2_ee0's singularity needs a pair of qubits
+        out = tmp_path / "cmp.csv"
+        config = fast_config(n_qubits=1, omega_c_ghz=5.439)
+        assert cmd_compare(config, str(out)) == EXIT_OK
+        _, rows = read_csv(out)
+        assert all(row[3] is not None for row in rows)
+
+    def test_closedform_column_same_for_every_qubit(self, tmp_path):
+        columns = []
+        for qubit in range(3):
+            out = tmp_path / f"cmp{qubit}.csv"
+            assert cmd_compare(fast_config(n_qubits=3, qubit_index=qubit), str(out)) == EXIT_OK
+            columns.append([row[3] for row in read_csv(out)[1]])
+        assert None not in columns[0]
+        assert columns[0] == columns[1] == columns[2]
+
 
 class TestCmdSweep:
     def test_rows_sorted_and_deterministic(self, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from dlesim.closedform2q import (
-    SPACE,
     ResonanceError,
     alpha1_eg1,
     alpha1_ge1,
@@ -16,6 +16,7 @@ from dlesim.closedform2q import (
     divergence_locations,
     scan_divergence_locations,
 )
+from dlesim.engine import run_to_order
 from dlesim.hilbert import qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams
 
@@ -234,16 +235,18 @@ class TestGuards:
 class TestClosedFormState:
     def test_one_photon_amplitudes_vanish_at_origin_fast_limit(self):
         p = make_params(t_period=1e-9 * TWO_PI / OMEGA_SUM)
+        space = p[0].space()
         (row,) = closedform_state(0.0, *p)
         for bits in ((0, 1), (1, 0)):
-            assert abs(row[SPACE.index_of(bits, 1)]) <= 1e-9 * G
+            assert abs(row[space.index_of(bits, 1)]) <= 1e-9 * G
 
     def test_mirror_amplitudes_equal(self):
         p = make_params(ratio=8.0)
+        space = p[0].space()
         rows = closedform_state(np.array([0.0, 0.9, 2.4]), *p)
-        assert rows.shape == (3, SPACE.dim)
+        assert rows.shape == (3, space.dim)
         for row in rows:
-            assert row[SPACE.index_of((0, 1), 1)] == row[SPACE.index_of((1, 0), 1)]
+            assert row[space.index_of((0, 1), 1)] == row[space.index_of((1, 0), 1)]
 
     def test_depends_only_on_effective_coupling(self):
         # any split of the coupling into bookkeeping-parameter times amplitude
@@ -254,13 +257,15 @@ class TestClosedFormState:
         assert np.array_equal(row1, row2)
         # homogeneity orders: alpha1 ~ g, alpha2 ~ g^2
         (row_double,) = closedform_state(1.1, *make_params(g_eff=2 * G))
-        ge1 = SPACE.index_of((0, 1), 1)
-        ee0 = SPACE.index_of((1, 1), 0)
+        space = p1[0].space()
+        ge1 = space.index_of((0, 1), 1)
+        ee0 = space.index_of((1, 1), 0)
         assert row_double[ge1] == pytest.approx(2 * row1[ge1], rel=1e-12)
         assert row_double[ee0] == pytest.approx(4 * row1[ee0], rel=1e-12)
 
     def test_rows_match_scalar_coefficients(self):
         p = make_params(ratio=8.0)
+        space = p[0].space()
         times = np.linspace(0.0, 3.0, 7)
         rows = closedform_state(times, *p)
         for t, row in zip(times, rows):
@@ -272,7 +277,71 @@ class TestClosedFormState:
             }
             for (bits, photons), value in expected.items():
                 # array and scalar exp may differ in the last bit
-                assert abs(row[SPACE.index_of(bits, photons)] - value) <= 1e-15
+                assert abs(row[space.index_of(bits, photons)] - value) <= 1e-15
+
+
+@functools.lru_cache(maxsize=None)
+def gaps_against_engine(n_qubits, ratio):
+    """A6's sup|diff|/max|alpha| of each closed-form amplitude against the
+    engine, at N = n_qubits, n_max = 1, over 5 ns and 400 times: alpha1 over
+    every |e_q,1>, gg0 at |g...g,0> and, where pairs exist, ee0 over every
+    |e_q e_r,0>."""
+    params = SystemParams(W0, WC, G, n_qubits, 1)
+    schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
+    solution = run_to_order(params, schedule, 2, 5.0)
+    space = params.space()
+    excited, photons = space.excitation_counts, space.photon_counts
+    times = np.linspace(0.0, 5.0, 400)
+    closed = closedform_state(times, params, schedule)
+    # the ground state's order-2 part, without its order-0 1 (exact placement
+    # is checked in TestEveryN)
+    closed[:, 0] = 0.5 * n_qubits * alpha2_gg0(times, params, schedule)
+    classes = {
+        "alpha1": (1, (excited == 1) & (photons == 1)),
+        "gg0": (2, np.arange(space.dim) == 0),
+        "ee0": (2, (excited == 2) & (photons == 0)),
+    }
+    gaps = {}
+    for name, (order, mask) in classes.items():
+        if mask.any():
+            # every row of ``coefficient(order, ., t)``, all times at once
+            engine = solution._evaluate(times, order, order)[:, mask]
+            gaps[name] = float(np.abs(engine - closed[:, mask]).max() / np.abs(engine).max())
+    return gaps
+
+
+class TestEveryN:
+    """The N=2 forms, placed on the run's own basis by permutation symmetry."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+    def test_state_places_each_form_by_symmetry(self, n_qubits):
+        params = SystemParams(W0, WC, G, n_qubits, 2)
+        schedule = CouplingSchedule.from_switching_frequency(8.0 * W0)
+        space = params.space()
+        times = np.array([0.0, 0.9, 2.4])
+        rows = closedform_state(times, params, schedule)
+        assert rows.shape == (3, space.dim)
+        expected = np.zeros_like(rows)
+        expected[:, 0] = 1.0 + 0.5 * n_qubits * alpha2_gg0(times, params, schedule)
+        for i in range(space.dim):
+            excited, photons = space.excitation_counts[i], space.photon_counts[i]
+            if (excited, photons) == (1, 1):
+                expected[:, i] = alpha1_ge1(times, params, schedule)
+            elif (excited, photons) == (2, 0):
+                expected[:, i] = alpha2_ee0(times, params, schedule)
+        assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("ratio", [200.0, 20.0])
+    @pytest.mark.parametrize("n_qubits", [1, 3, 4, 5])
+    def test_engine_gaps_equal_two_qubits(self, n_qubits, ratio):
+        gaps = gaps_against_engine(n_qubits, ratio)
+        reference = gaps_against_engine(2, ratio)
+        expected = {"alpha1", "gg0"} if n_qubits == 1 else {"alpha1", "gg0", "ee0"}
+        assert set(gaps) == expected
+        for name, gap in gaps.items():
+            assert gap == pytest.approx(reference[name], rel=1e-9), name
+            if ratio == 200.0:
+                assert gap <= 0.05, name  # A6's bound
 
 
 class TestBreakdownDiagnostic:
@@ -283,7 +352,7 @@ class TestBreakdownDiagnostic:
         varpi = 2 * W0 * (1 + 2e-5)
         p = make_params(t_period=TWO_PI / varpi)
         rows = closedform_state(np.linspace(0.0, 2.0, 80), *p)
-        assert qubit_excitation(rows, SPACE, 0).max() > 1.0
+        assert qubit_excitation(rows, p[0].space(), 0).max() > 1.0
 
 
 class TestDivergenceLocations:
@@ -356,6 +425,10 @@ class TestScan:
             (True, 10.0, "varpi_min"),
             (0.0, 1.0, "varpi_min"),
             (2.0, 1.0, "varpi_max"),
+            # windows whose grid steps past pi/2 in phase and could skip poles
+            (1e-3, 1.0, "varpi_min"),
+            (1e-300, 1e-299, "varpi_min"),
+            (5e-324, 1.0, "varpi_min"),
         ],
     )
     def test_rejects_a_bad_bound_by_name(self, varpi_min, varpi_max, name):

@@ -495,7 +495,7 @@ def oracle_coefficient(edges, tables, order, index, t):
 
 
 HALF_10 = 0.5 / (10.0 * W0 / TWO_PI)
-SPACE_2_2 = HilbertSpace(2, 2)
+BASIS_2_2 = HilbertSpace(2, 2)
 
 ORACLE_CASES = {
     "ground ratio 2.5": (make_params(n_max=2), make_schedule(2.5), 0.3, 0),
@@ -505,13 +505,13 @@ ORACLE_CASES = {
         make_params(n_max=2),
         make_schedule(10.0),
         0.2,
-        SPACE_2_2.index_of((1, 0), 0),
+        BASIS_2_2.index_of((1, 0), 0),
     ),
     "excited two-photon ratio 20": (
         make_params(n_max=2),
         make_schedule(20.0),
         0.1,
-        SPACE_2_2.index_of((0, 1), 2),
+        BASIS_2_2.index_of((0, 1), 2),
     ),
     "partial last segment": (make_params(n_max=2), make_schedule(10.0), 7.4 * HALF_10, 0),
     "constant coupling": (
@@ -524,7 +524,7 @@ ORACLE_CASES = {
         make_params(n_max=2, g_eff=0.0),
         make_schedule(10.0),
         0.2,
-        SPACE_2_2.index_of((1, 0), 1),
+        BASIS_2_2.index_of((1, 0), 1),
     ),
 }
 
