@@ -60,11 +60,11 @@ def check_field(
 def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:
     """Upper bounds (R, L) on the engine's reachable states and distinct levels.
 
-    The coupling flips one qubit and moves one photon, so the states reachable
-    from the ground state are the R = dim/2 with an even number of photons
-    plus excitations, and their L distinct bare energies are the
-    (photons, excitations) pairs of even sum.  R is exact for n_max >= 1;
-    L too, unless two pairs share an energy (as at omega0 = omega_c).
+    The coupling flips one qubit and moves one photon, so the ground state's
+    sector (``HilbertSpace.sector(0)``, pinned by a test) is the R = dim/2
+    states with an even number of photons plus excitations, and its L bare
+    energies are the (photons, excitations) pairs of even sum.  R is exact
+    for n_max >= 1; L too, unless two pairs share an energy (omega0 = omega_c).
     """
     return 2**n_qubits * (n_max + 1) // 2, ((n_max + 1) * (n_qubits + 1) + 1) // 2
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exppoly import RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import check_number, qubit_excitation
+from .hilbert import HilbertSpace, check_number, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
@@ -46,24 +46,12 @@ from .model import (
 _BATCH_ELEMENTS = 1 << 18
 
 
-def _reachable(coupling: np.ndarray, start: int) -> np.ndarray:
-    """Sorted indices of the states connected to ``start`` by couplings."""
-    edges = coupling != 0
-    seen = np.zeros(len(coupling), dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = edges[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return np.flatnonzero(seen)
-
-
 @dataclass(frozen=True, eq=False)
 class Levels:
     """The subsystem reachable from the initial state, shared by every order.
 
-    ``states`` are the reachable states, ``start`` is the position of the
-    initial state among them and ``energies`` are their bare energies.
+    ``states`` are the start's ``HilbertSpace.sector``, ``start`` is the
+    initial state's position among them and ``energies`` their bare energies.
     ``values`` are the distinct energies, merged as ExpPoly merges rates
     (``RATE_MERGE_TOL``), and ``of_state[i]`` is the level of ``states[i]``.
     ``coupling`` is V among the states, (R, R).
@@ -81,9 +69,9 @@ class Levels:
     inverse: np.ndarray
 
     @classmethod
-    def of(cls, coupling: np.ndarray, energies: np.ndarray, start: int) -> "Levels":
-        """The subsystem reachable from basis state ``start``; both arrays span the basis."""
-        states = _reachable(coupling, start)
+    def of(cls, space: HilbertSpace, energies: np.ndarray, start: int) -> "Levels":
+        """The sector of basis state ``start``; ``energies`` spans the basis."""
+        states = space.sector(start)
         energies = energies[states]
         order = np.argsort(energies, kind="stable")
         ranked = energies[order]
@@ -94,7 +82,7 @@ class Levels:
         of_state[order] = np.searchsorted(opens, np.arange(len(ranked)), side="right")
         same = of_state == np.arange(len(values))[:, None]
         inverse = np.where(same, 0.0, 1.0 / np.where(same, 1.0, 1j * (energies - values[:, None])))
-        block = coupling[np.ix_(states, states)]
+        block = space.coupling[np.ix_(states, states)]
         position = int(np.searchsorted(states, start))
         return cls(states, position, energies, values, of_state, block, same, inverse)
 
@@ -287,8 +275,7 @@ def zeroth_order(
     The order-0 response is that free phase on every reachable state.
     """
     space = params.space()
-    initial_index = space.check_index(initial, "initial")
-    levels = Levels.of(space.coupling, bare_energies(params, space), initial_index)
+    levels = Levels.of(space, bare_energies(params, space), initial)
     n_states = len(levels.states)
     diagonal = np.arange(n_states)
     table = np.zeros((1, len(levels.values), n_states, n_states), dtype=np.complex128)

@@ -64,6 +64,17 @@ class HilbertSpace:
         basis index, an integer in [0, dim)."""
         return check_number(name, index, int, within=(0, self.dim - 1))
 
+    def sector(self, start: int) -> np.ndarray:
+        """Sorted indices of the states ``coupling`` connects to basis state
+        ``start``: its parity class of photons + excitations when n_max >= 1."""
+        edges = self.coupling != 0
+        seen = np.arange(self.dim) == self.check_index(start, "initial")
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return np.flatnonzero(seen)
+
     def __repr__(self):
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"
 

@@ -1,10 +1,10 @@
 """Exact piecewise-constant propagation of the switched-coupling dynamics.
 
-The Hamiltonian is constant over each half-period: diagonal with the
-coupling off, so an off segment is the free phase exp(-i E tau), and with
-it on the state advances by exact exponentials from one eigendecomposition.
-Samples come from ``model.SegmentWalk``'s segment starts in one step each:
-no integrator error.
+The Hamiltonian, restricted to the start's ``HilbertSpace.sector``, is
+constant over each half-period: diagonal with the coupling off, so an off
+segment is the free phase exp(-i E tau), and with it on the state advances
+by exact exponentials from one eigendecomposition.  Samples come from
+``model.SegmentWalk``'s segment starts in one step each: no integrator error.
 """
 
 from __future__ import annotations
@@ -91,24 +91,25 @@ def propagate(
 ) -> Trajectory:
     """Exact evolution from basis state ``initial``, sampled at multiples of sample_dt."""
     space = params.space()
-    first = np.zeros(space.dim, dtype=np.complex128)
-    first[space.check_index(initial, "initial")] = 1.0
-
-    coupled = _SegmentPropagator(hamiltonian_matrix(params))
-    energies = bare_energies(params, space)
+    states = space.sector(initial)
+    first = (states == initial).astype(np.complex128)
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)
+
+    coupled = _SegmentPropagator(hamiltonian_matrix(params)[np.ix_(states, states)])
+    energies = bare_energies(params, space)[states]
     # Transposed on map; one Newton-Schulz step keeps each power unitary, as
     # eigh's eigenvectors are orthonormal to ~1e-15, which 1e4 products amplify.
-    on_map = _unitary(coupled.advance(np.eye(space.dim), np.full(space.dim, schedule.half_period)))
+    half_periods = np.full(len(states), schedule.half_period)
+    on_map = _unitary(coupled.advance(np.eye(len(states)), half_periods))
     walk = SegmentWalk(schedule, edges, first, on_map, energies, _unitary)
 
-    out = np.empty((len(times), space.dim), dtype=np.complex128)
-    batch = max(1, _BATCH_ELEMENTS // space.dim)
+    out = np.zeros((len(times), space.dim), dtype=np.complex128)
+    batch = max(1, _BATCH_ELEMENTS // len(states))
     for part, on, tau, psi in walk.segment_starts(times, batch):
         psi[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
         psi[on] = coupled.advance(psi[on], tau[on])
-        out[part] = psi
+        out[part, states] = psi
     return Trajectory(times=times, amplitudes=out, space=space)
 
 
@@ -127,6 +128,8 @@ def convergence_check(
     """sup|P(n_max) - P(n_max + 1)| over [0, t_final]: how much one qubit's
     excitation probability moves when the photon cutoff is raised by one."""
     check_number("n_max", params.n_max, int, at_least=1)
+    check_number("t_final", t_final, above=0)
+    check_number("qubit_index", qubit_index, int, within=(0, params.n_qubits - 1))
     if sample_dt is None:
         sample_dt = t_final / 1000.0
     bigger = replace(params, n_max=params.n_max + 1)

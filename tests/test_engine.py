@@ -290,6 +290,8 @@ def test_budget_counts_match_the_engines_levels(n_qubits, n_max):
     # the size budget's R and L are exact at the paper's frequencies for
     # n_max >= 1, and upper bounds at n_max = 0 and at omega0 = omega_c
     reachable, n_levels = reachable_bound(n_qubits, n_max)
+    if n_max >= 1:
+        assert len(HilbertSpace(n_qubits, n_max).sector(0)) == reachable
     for omega0, exact in ((W0, n_max >= 1), (WC, False)):
         params = SystemParams(omega0, WC, G, n_qubits, n_max)
         levels = zeroth_order(params, make_schedule(), 0.1).levels

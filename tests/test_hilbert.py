@@ -135,6 +135,12 @@ def test_index_of_rejects_a_bit_that_is_not_an_integer(bit):
         HilbertSpace(2, 1).index_of((bit, 0), 1)
 
 
+@pytest.mark.parametrize("start", [-1, 12, 1.5, True])
+def test_sector_rejects_a_start_outside_the_basis(start):
+    with pytest.raises(ValueError, match="^initial must be "):
+        HilbertSpace(2, 2).sector(start)
+
+
 def test_ground_state_probabilities():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, 0)

@@ -20,7 +20,7 @@ from dlesim.model import (
     period_starts,
     switching_grid,
 )
-from dlesim.propagator import sample_times
+from dlesim.propagator import convergence_check, sample_times
 
 W0 = TWO_PI * 5.439
 WC = TWO_PI * 4.343
@@ -291,6 +291,8 @@ NUMBER_INPUTS = [
     ("sample_times.t_final", "t_final", lambda v: sample_times(v, 0.01)),
     ("sample_times.sample_dt", "sample_dt", lambda v: sample_times(1.0, v)),
     ("retimed", "t_final", retimed_to),
+    ("convergence_check", "t_final",
+     lambda v: convergence_check(make_params(), CouplingSchedule(t_period=1.0), v)),
 ]
 BAD_NUMBERS = [True, np.True_, 1j, "1", None, math.nan, math.inf, -math.inf, 0, -1]
 

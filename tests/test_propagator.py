@@ -222,6 +222,33 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(params, schedule, 1.0, 0.0)
 
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_amplitudes_off_the_sector_are_exactly_zero(self, initial):
+        # index 1, |ge,0>, is an odd start: the other half of the basis
+        params = make_params()
+        space = params.space()
+        off = np.ones(space.dim, dtype=bool)
+        off[space.sector(initial)] = False
+        assert off.sum() == space.dim // 2
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
+        traj = propagate(params, schedule, 2.0, 0.01, initial)
+        assert np.all(traj.amplitudes[:, off] == 0.0)
+
+    def test_decomposes_the_sector_alone(self, monkeypatch):
+        shapes = []
+
+        class Recording(_SegmentPropagator):
+            def __init__(self, h):
+                shapes.append(h.shape)
+                super().__init__(h)
+
+        monkeypatch.setattr(propagator, "_SegmentPropagator", Recording)
+        params = make_params(n_qubits=3)
+        reachable = len(params.space().sector(0))
+        propagate(params, CouplingSchedule.from_switching_frequency(20 * W0), 1.0, 0.1)
+        assert shapes == [(reachable, reachable)]
+        assert reachable == params.space().dim // 2
+
     def test_initial_outside_the_basis_rejected(self):
         params = make_params()
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
@@ -275,6 +302,30 @@ class TestGridWalk:
         params = make_params()
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         assert max_oracle_gap(params, schedule, 1.0, 1e-4) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [2.5, 20.0])
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_other_qubit_counts(self, n_qubits, ratio):
+        # the cases above at one and three qubits
+        params = make_params(n_qubits=n_qubits)
+        schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
+        h = schedule.half_period
+        excited = params.space().index_of((1,) * n_qubits, 1)
+        cases = [
+            (params, 1.0, h, 0),  # every sample on a switching instant
+            (params, 7.3 * h, 7.3 * h / 17, 0),  # a partial last segment
+            (params, 2.0, 0.013, excited),
+            (replace(params, g_eff=0.0), 1.0, 0.03, 5),
+        ]
+        for case_params, t_final, sample_dt, initial in cases:
+            gap = max_oracle_gap(case_params, schedule, t_final, sample_dt, initial)
+            assert gap <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits", [1, 3])
+    def test_many_segments_at_other_qubit_counts(self, n_qubits):
+        params = make_params(n_max=3, n_qubits=n_qubits)
+        schedule = CouplingSchedule.from_switching_frequency(2.0 * W0)
+        assert max_oracle_gap(params, schedule, 40.0, 0.05) <= 1e-12
 
     def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # one sample per batch: every on-segment product has a single row
@@ -334,3 +385,10 @@ class TestConvergenceCheck:
         schedule = CouplingSchedule.from_switching_frequency(20 * W0)
         with pytest.raises(ValueError):
             convergence_check(params, schedule, 1.0)
+
+    @pytest.mark.parametrize("qubit_index", [2, -1, 0.0])
+    def test_rejects_a_bad_qubit_index_before_propagating(self, monkeypatch, qubit_index):
+        monkeypatch.setattr(propagator, "propagate", None)  # a call would raise TypeError
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
+        with pytest.raises(ValueError, match="^qubit_index must be "):
+            convergence_check(make_params(), schedule, 1.0, qubit_index)

@@ -83,6 +83,28 @@ def test_coupling_and_energies_invariant_under_qubit_swaps(
         assert np.array_equal(energies[perm], energies)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_qubits=st.integers(min_value=1, max_value=5),
+    n_max=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_sector_is_the_starts_closed_parity_class(n_qubits, n_max, data):
+    space = HilbertSpace(n_qubits, n_max)
+    start = data.draw(st.integers(min_value=0, max_value=space.dim - 1), label="start")
+    indices = space.sector(start)
+    assert np.all(np.diff(indices) > 0)
+    sector = np.zeros(space.dim, dtype=bool)
+    sector[indices] = True
+    assert sector[start]
+    assert not space.coupling[sector][:, ~sector].any()
+    parity = (space.photon_counts + space.excitation_counts) % 2
+    if n_max >= 1:
+        assert np.array_equal(sector, parity == parity[start])
+    else:
+        assert np.flatnonzero(sector).tolist() == [start]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     omega0=frequencies,
