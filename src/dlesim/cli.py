@@ -83,29 +83,29 @@ def _check_size(config: "RunConfig", engine: bool = False) -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
     With dim = 2^N (n_max+1), every command is budgeted for the dim x dim
-    Hamiltonian, the exact periods x dim period starts and the samples x dim
-    amplitudes.  With ``engine`` (perturb, compare and sweep), R reachable
-    states (``reachable_bound``) and J = order, so are the engine's
-    periods x (J+1)R period starts, its (J+1)R x (J+1)R on map and its
-    response coefficients (``response_bound``).
+    unit coupling, the samples x dim amplitudes and one walk's periods x
+    width period starts: width = R (``reachable_bound``) for exact
+    propagation's sector rows, and with ``engine`` (perturb, compare and
+    sweep) (J+1)R for the engine's stacked rows, J = order, which also
+    budgets its width x width on map and response (``response_bound``).
     """
     n_max = min(config.params.n_max, 1 << 32)  # the caps keep the ints small
     n_qubits = min(config.n_qubits, 64)
     dim = 2**n_qubits * (n_max + 1)
+    width = (config.order + 1 if engine else 1) * reachable_bound(n_qubits, n_max)[0]
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow
     samples = config.t_final_ns / config.sample_dt_ns + 1
     switch = "switch_freq_ghz" if config.switch_freq_ghz is not None else "switch_ratio"
+    walk = f"t_final_ns, {switch} and order" if engine else f"t_final_ns and {switch}"
     arrays = [
         (dim * dim, "n_qubits and n_max"),
-        (periods * dim, f"t_final_ns and {switch}"),
+        (periods * width, walk),
         (samples * dim, "t_final_ns and sample_dt_ns"),
     ]
     if engine:
-        stacked = (config.order + 1) * reachable_bound(n_qubits, n_max)[0]
         arrays += [
-            (periods * stacked, f"t_final_ns, {switch} and order"),
-            (stacked * stacked, "n_qubits, n_max and order"),
+            (width * width, "n_qubits, n_max and order"),
             (response_bound(n_qubits, n_max, config.order), "n_qubits, n_max and order"),
         ]
     for elements, cause in arrays:

@@ -230,12 +230,13 @@ class PerturbativeSolution:
         for part, on, t, x in self.walk.segment_starts(times, batch):
             x = x.reshape(len(t), len(self.tables), len(states))
             block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
-            if on.any():
+            step = on & (t > 0)  # Phi_m(0) = 0 for m >= 1
+            if step.any():
                 for m in range(1, hi + 1):
                     table = self.tables[m]
                     if table.n_terms:
-                        vectors = x[on, max(lo - m, 0) : hi - m + 1].sum(axis=1)
-                        block[on] += table.apply(t[on], vectors)
+                        vectors = x[step, max(lo - m, 0) : hi - m + 1].sum(axis=1)
+                        block[step] += table.apply(t[step], vectors)
             out[part, states] = block
         return out
 

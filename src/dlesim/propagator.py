@@ -96,7 +96,7 @@ def propagate(
     edges = switching_grid(schedule, t_final)
     times = sample_times(t_final, sample_dt)
 
-    coupled = _SegmentPropagator(hamiltonian_matrix(params)[np.ix_(states, states)])
+    coupled = _SegmentPropagator(hamiltonian_matrix(params, states))
     energies = bare_energies(params, space)[states]
     # Transposed on map; one Newton-Schulz step keeps each power unitary, as
     # eigh's eigenvectors are orthonormal to ~1e-15, which 1e4 products amplify.
@@ -108,7 +108,8 @@ def propagate(
     batch = max(1, _BATCH_ELEMENTS // len(states))
     for part, on, tau, psi in walk.segment_starts(times, batch):
         psi[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
-        psi[on] = coupled.advance(psi[on], tau[on])
+        step = on & (tau > 0)  # at tau = 0 the row is the segment's start
+        psi[step] = coupled.advance(psi[step], tau[step])
         out[part, states] = psi
     return Trajectory(times=times, amplitudes=out, space=space)
 

@@ -81,6 +81,7 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command, config):
     assert metrics["model.segments"] == sum(segments(c) for c in walked(run))
     if command != "perturb":  # the one command that never propagates
         assert metrics["propagator.decompose_s"] > 0
+        assert metrics["model.hamiltonian_s"] > 0
     if evals is not None:
         assert metrics["engine.evals"] == evals
     # the hook sees write_csv's positional (path, header, rows) and counts len(rows)

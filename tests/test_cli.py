@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlesim import cli, engine
+from dlesim import cli, engine, propagator
 from dlesim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -22,6 +22,7 @@ from dlesim.cli import (
     cmd_sweep,
     load_config,
     main,
+    reachable_bound,
 )
 from dlesim.engine import run_to_order
 from dlesim.model import TWO_PI
@@ -263,6 +264,14 @@ class TestConfigProbes:
         assert f"config error: config file {path} is not valid JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"x"', "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, content):
+        path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        path.write_text(content)
+        assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "config file must contain a flat JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["exact", "perturb", "compare", "sweep"])
     @pytest.mark.parametrize(
         "data, args, field",
@@ -423,6 +432,49 @@ class TestSizeBudget:
         RunConfig(
             order=4, n_max=4, t_final_ns=2300.0, sample_dt_ns=1.0, switch_ratio=20.0
         )
+
+    # N=2, n_max=3: dim = 16 and a sector of R = 8; ratio 20 gives 1.09e5
+    # periods per 1000 ns
+    SECTOR_RUN = dict(n_max=3, switch_ratio=20.0, sample_dt_ns=100.0)
+
+    def test_exact_period_starts_budgeted_at_the_sectors_width(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 3.26e6 periods x R = 8: 2.6e7 elements, within the budget
+        load_config(None, dict(self.SECTOR_RUN, t_final_ns=30000.0))
+        with pytest.raises(ConfigError, match="^t_final_ns and switch_ratio need 3.48e"):
+            load_config(None, dict(self.SECTOR_RUN, t_final_ns=40000.0))
+        # compare's engine walks (order + 1) R = 24 wide rows
+        monkeypatch.setattr(cli, "propagate", never_runs)
+        monkeypatch.setattr(cli, "run_to_order", never_runs)
+        path, out = tmp_path / "cfg.json", tmp_path / "c.csv"
+        path.write_text(json.dumps(dict(self.SECTOR_RUN, t_final_ns=30000.0)))
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "t_final_ns, switch_ratio and order need 7.83e+07" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exact_walk_holds_the_budgeted_period_starts(self, tmp_path, monkeypatch):
+        shapes = {}
+        hamiltonian_matrix = propagator.hamiltonian_matrix
+
+        def hamiltonian(*args):
+            h = hamiltonian_matrix(*args)
+            shapes["hamiltonian"] = h.shape
+            return h
+
+        class Walk(propagator.SegmentWalk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                shapes["starts"] = self.starts.shape
+
+        monkeypatch.setattr(propagator, "hamiltonian_matrix", hamiltonian)
+        monkeypatch.setattr(propagator, "SegmentWalk", Walk)
+        config = fast_config(n_max=3)
+        assert cmd_exact(config, str(tmp_path / "e.csv")) == EXIT_OK
+        reachable = reachable_bound(config.n_qubits, config.params.n_max)[0]
+        periods = np.ceil(config.t_final_ns * config.switching_frequency / np.pi / 2)
+        assert shapes["starts"] == (periods, reachable)
+        assert shapes["hamiltonian"] == (reachable, reachable)
 
     def test_sweep_checks_every_point_before_running(self, monkeypatch, tmp_path):
         def never(point):

@@ -408,6 +408,13 @@ class TestScan:
                 for primary in found[family]
             ), family
 
+    def test_equal_frequencies_have_no_difference_poles(self):
+        # at omega0 = omega_c the difference family's primary is 0: no poles
+        params, _ = make_params(omega_c=W0)
+        poles = scan_divergence_locations(params, 0.05 * W0, 25 * W0)
+        assert poles
+        assert {pole.family for pole in poles} <= {"twice qubit frequency", "sum frequency"}
+
     def test_alias_orders_recorded(self):
         params, _ = make_params()
         poles = scan_divergence_locations(params, 0.5 * W0, 25 * W0)

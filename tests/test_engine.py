@@ -20,11 +20,12 @@ from dlesim.hilbert import HilbertSpace
 from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
+    SegmentWalk,
     SystemParams,
     bare_energies,
     switching_grid,
 )
-from dlesim.propagator import propagate
+from dlesim.propagator import propagate, sample_times
 
 W0 = TWO_PI * 5.439
 WC = TWO_PI * 4.343
@@ -151,6 +152,11 @@ class TestRunToOrder:
         for j in (1, 2):
             for idx in sol.support(j):
                 assert abs(sol.coefficient(j, idx, 0.0)) <= 1e-15
+
+    def test_extended_rejects_a_table_of_another_order(self):
+        sol = run_to_order(make_params(n_max=2), make_schedule(), 2, 1.0)
+        with pytest.raises(ValueError, match="^expected order 3 table, got order 1$"):
+            sol.extended(sol.tables[1])
 
     def test_truncation_warning_counter(self):
         sol = run_to_order(make_params(n_max=1), make_schedule(), 2, 1.0)
@@ -403,6 +409,15 @@ class TestExcitationProbability:
     def test_zero_at_time_zero(self):
         sol = run_to_order(make_params(), make_schedule(), 2, 1.0)
         assert pert_excitation_probability(sol, 0, 0.0) == pytest.approx(0.0, abs=1e-20)
+
+    def test_time_zero_is_the_start_row_in_both_pipelines(self):
+        # compare-deep's point: no step is taken at tau = 0, so both rows
+        # are the start basis vector bit for bit
+        params, schedule = make_params(n_max=4), make_schedule(20.0)
+        start = np.zeros(params.space().dim, dtype=np.complex128)
+        start[0] = 1.0
+        assert np.array_equal(propagate(params, schedule, 20.0, 0.01).amplitudes[0], start)
+        assert np.array_equal(run_to_order(params, schedule, 4, 20.0).amplitudes_at(0.0), start)
 
     def test_scalar_time_equals_the_array_call(self):
         sol = run_to_order(make_params(n_max=2), make_schedule(ratio=7.3), 4, 1.0)
@@ -759,6 +774,69 @@ def test_response_matches_van_loan_expm(point, n_qubits):
                     bound = RESPONSE_TOL * (scale + factor * max(1.0, np.abs(flow).max()))
                     got = table.matrix(tau)
                     assert np.all(np.abs(got - want) <= bound), (j, tau)
+
+
+def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes=32):
+    """x_j(1), the order-j state at unit coupling, for j <= j_max at the sample
+    times, by Cauchy integrals of the exact state psi(z) at complex coupling z.
+
+    psi(z) is entire in z, and x_j(1) is its j-th Taylor coefficient, so it is
+    (1/K) sum_k psi(z_k) z_k^-j over z_k = r e^(2 pi i k / K), r = 2 g_eff
+    (Lyness & Moler, SIAM J. Numer. Anal. 4, 202, 1967).  Each psi(z_k) walks
+    ``SegmentWalk`` over the full basis with H(z) = E + z V, complex symmetric:
+    ``eig`` and its inverse give the on map, and nothing projects it.  No
+    residue and no order recursion is shared with the engine.  Returns
+    (times, orders) with orders[j] of shape (len(times), dim).
+    """
+    space = params.space()
+    energies = bare_energies(params, space)
+    edges = switching_grid(schedule, t_final)
+    times = sample_times(t_final, sample_dt)
+    first = np.zeros(space.dim, dtype=np.complex128)
+    first[initial] = 1.0
+    z = 2.0 * params.g_eff * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    orders = np.zeros((j_max + 1, len(times), space.dim), dtype=np.complex128)
+    for z_k in z:
+        values, vectors = np.linalg.eig(np.diag(energies) + z_k * space.coupling)
+        inverse = np.linalg.inv(vectors)
+
+        def advance(rows, taus):
+            """Rows (exp(-i H(z) tau) psi)^T for rows psi^T."""
+            return (rows @ inverse.T) * np.exp(-1j * np.outer(taus, values)) @ vectors.T
+
+        on_map = advance(np.eye(space.dim), np.full(space.dim, schedule.half_period))
+        walk = SegmentWalk(schedule, edges, first, on_map, energies)
+        psi = np.empty((len(times), space.dim), dtype=np.complex128)
+        for part, on, tau, rows in walk.segment_starts(times, len(times)):
+            rows[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
+            rows[on] = advance(rows[on], tau[on])
+            psi[part] = rows
+        orders += psi * (z_k ** -np.arange(j_max + 1))[:, None, None]
+    return times, orders / nodes
+
+
+def contour_errors(params, schedule, t_final, j_max=4, sample_dt=0.01):
+    """Per order j, max|engine - contour| / max|engine| over the samples, with the
+    engine's order j read at unit coupling, ``_evaluate(times, j, j) / g_eff**j``."""
+    times, orders = contour_orders(params, schedule, t_final, sample_dt, j_max)
+    solution = run_to_order(params, schedule, j_max, t_final)
+    errors = []
+    for j in range(j_max + 1):
+        engine_j = solution._evaluate(times, j, j) / params.g_eff**j
+        errors.append(np.abs(engine_j - orders[j]).max() / np.abs(engine_j).max())
+    return errors
+
+
+CONTOUR_TOL = 1e-8
+# (n_qubits, n_max, ratio, t_final ns) at the paper's frequencies and coupling
+CONTOUR_CASES = [(2, 8, 20.0, 5.0), (2, 8, 2.5, 5.0), (2, 8, 20.0, 20.0), (5, 3, 20.0, 5.0)]
+
+
+@pytest.mark.parametrize("n_qubits, n_max, ratio, t_final", CONTOUR_CASES)
+def test_orders_match_contour_integrals_of_the_exact_walk(n_qubits, n_max, ratio, t_final):
+    params = SystemParams(W0, WC, G, n_qubits, n_max)
+    errors = contour_errors(params, make_schedule(ratio), t_final)
+    assert max(errors) <= CONTOUR_TOL, errors
 
 
 def check_rows_canonical(solution):

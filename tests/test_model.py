@@ -184,7 +184,7 @@ class TestLaplaceCoupling:
 class TestHamiltonian:
     def test_diagonal_when_uncoupled(self):
         p = make_params()
-        h = hamiltonian_matrix(replace(p, g_eff=0.0))
+        h = hamiltonian_matrix(replace(p, g_eff=0.0), np.arange(p.space().dim))
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
         space = HilbertSpace(2, 1)
         idx = space.index_of((0, 1), 1)
@@ -193,7 +193,7 @@ class TestHamiltonian:
     def test_counter_rotating_element(self):
         p = make_params()
         space = HilbertSpace(2, 1)
-        h = hamiltonian_matrix(replace(p, g_eff=0.25))
+        h = hamiltonian_matrix(replace(p, g_eff=0.25), np.arange(p.space().dim))
         row = space.index_of((0, 1), 1)
         col = space.index_of((0, 0), 0)
         assert h[row, col] == pytest.approx(0.25 * math.sqrt(1))
@@ -201,7 +201,7 @@ class TestHamiltonian:
     def test_rwa_element_sqrt_n(self):
         p = make_params(n_max=2)
         space = HilbertSpace(2, 2)
-        h = hamiltonian_matrix(replace(p, g_eff=0.25))
+        h = hamiltonian_matrix(replace(p, g_eff=0.25), np.arange(p.space().dim))
         # lowering a qubit while creating a photon on top of n=1 carries sqrt(2)
         row = space.index_of((0, 0), 2)
         col = space.index_of((0, 1), 1)
@@ -220,7 +220,7 @@ class TestHamiltonian:
                 n_qubits=int(rng.integers(1, 4)),
                 n_max=int(rng.integers(0, 4)),
             )
-            h = hamiltonian_matrix(p)
+            h = hamiltonian_matrix(p, np.arange(p.space().dim))
             assert np.array_equal(h, h.conj().T)
             assert np.all(h.imag == 0.0)
 
@@ -229,7 +229,7 @@ class TestHamiltonian:
         # (+-1, -+1) or (+-1, +-1) only
         p = make_params(n_qubits=3, n_max=2)
         space = HilbertSpace(3, 2)
-        h = hamiltonian_matrix(replace(p, g_eff=0.3))
+        h = hamiltonian_matrix(replace(p, g_eff=0.3), np.arange(p.space().dim))
         for i in range(space.dim):
             for j in range(space.dim):
                 if i == j or h[i, j] == 0:
@@ -241,7 +241,7 @@ class TestHamiltonian:
     def test_truncation_drops_out_of_space_terms(self):
         # with n_max=0 no photon exchange is possible at all
         p = make_params(n_max=0)
-        h = hamiltonian_matrix(replace(p, g_eff=0.3))
+        h = hamiltonian_matrix(replace(p, g_eff=0.3), np.arange(p.space().dim))
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 

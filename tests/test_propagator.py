@@ -56,7 +56,7 @@ def walk_oracle(params, schedule, t_final, sample_dt, initial=0):
     space = params.space()
     psi = basis_vector(space, initial)
     decompositions = [
-        np.linalg.eigh(hamiltonian_matrix(replace(params, g_eff=g)))
+        np.linalg.eigh(hamiltonian_matrix(replace(params, g_eff=g), np.arange(space.dim)))
         for g in (params.g_eff, 0.0)
     ]
 
@@ -96,14 +96,14 @@ def max_oracle_gap(params, schedule, t_final, sample_dt, initial=0):
 class TestEvolveSegment:
     def test_zero_duration_is_identity(self):
         params = make_params()
-        h = hamiltonian_matrix(params)
+        h = hamiltonian_matrix(params, np.arange(params.space().dim))
         psi = basis_vector(params.space(), 0)
         out = evolve_segment(h, 0.0, psi)
         assert np.array_equal(out, psi)
 
     def test_diagonal_hamiltonian_pure_phases(self):
         params = make_params(n_max=1)
-        h = hamiltonian_matrix(replace(params, g_eff=0.0))
+        h = hamiltonian_matrix(replace(params, g_eff=0.0), np.arange(params.space().dim))
         space = params.space()
         rng = np.random.default_rng(0)
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
@@ -132,7 +132,7 @@ class TestEvolveSegment:
 
     def test_norm_preserved(self):
         params = make_params()
-        h = hamiltonian_matrix(params)
+        h = hamiltonian_matrix(params, np.arange(params.space().dim))
         psi = basis_vector(params.space(), 0)
         out = evolve_segment(h, 3.3, psi)
         assert norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -178,8 +178,8 @@ class TestPropagate:
         traj = propagate(params, schedule, t_final, t_final)
         psi = traj.amplitudes[-1]
         edges = switching_grid(schedule, t_final)
-        h_on = hamiltonian_matrix(params)
-        h_off = hamiltonian_matrix(replace(params, g_eff=0.0))
+        h_on = hamiltonian_matrix(params, np.arange(params.space().dim))
+        h_off = hamiltonian_matrix(replace(params, g_eff=0.0), np.arange(params.space().dim))
         for k in reversed(range(len(edges) - 1)):
             h = h_on if k % 2 == 0 else h_off
             psi = evolve_segment(-h, float(edges[k + 1] - edges[k]), psi)
@@ -199,7 +199,7 @@ class TestPropagate:
         params = make_params()
         schedule = CouplingSchedule(t_period=4.0)
         traj = propagate(params, schedule, 1.9, 0.1)
-        h_on = hamiltonian_matrix(params)
+        h_on = hamiltonian_matrix(params, np.arange(params.space().dim))
         energies = [
             float(np.real(traj.amplitudes[i].conj() @ h_on @ traj.amplitudes[i]))
             for i in range(len(traj.times))

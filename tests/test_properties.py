@@ -21,6 +21,7 @@ from dlesim.hilbert import HilbertSpace, check_number, qubit_excitation
 from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
 from dlesim.propagator import propagate
 from test_csv import SPECIAL, assert_matches_reference
+from test_engine import CONTOUR_TOL, W0, WC, contour_errors
 from test_propagator import walk_oracle
 
 frequencies = st.floats(min_value=TWO_PI * 2.0, max_value=TWO_PI * 8.0)
@@ -103,6 +104,26 @@ def test_sector_is_the_starts_closed_parity_class(n_qubits, n_max, data):
         assert np.array_equal(sector, parity == parity[start])
     else:
         assert np.flatnonzero(sector).tolist() == [start]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    g_ghz=st.floats(min_value=0.05, max_value=0.15),
+    ratio=st.floats(min_value=2.2, max_value=40.0),
+    n_qubits=st.integers(min_value=1, max_value=3),
+    n_max=st.integers(min_value=1, max_value=3),
+    angle=st.floats(min_value=0.25, max_value=2.0),
+)
+def test_orders_match_contour_integrals_at_random_points(g_ghz, ratio, n_qubits, n_max, angle):
+    # At the paper's frequencies.  |psi(z)| on the contour grows like
+    # exp(|z| t), so the window is held to g_eff t_final <= 2 rad; below
+    # g = 0.05 GHz or 0.25 rad an order's share of psi(z) nears the walk's
+    # rounding, and its relative error stops resolving the engine's
+    params = SystemParams(W0, WC, TWO_PI * g_ghz, n_qubits, n_max)
+    schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
+    t_final = angle / params.g_eff
+    errors = contour_errors(params, schedule, t_final, sample_dt=t_final / 50)
+    assert max(errors) <= CONTOUR_TOL, errors
 
 
 @settings(max_examples=25, deadline=None)
