@@ -82,9 +82,9 @@ def response_bound(n_qubits: int, n_max: int, order: int) -> int:
 def _check_size(config: "RunConfig", engine: bool = False) -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    With dim = 2^N (n_max+1), every command is budgeted for the dim x dim
-    unit coupling, the samples x dim amplitudes and one walk's periods x
-    width period starts: width = R (``reachable_bound``) for exact
+    With dim = 2^N (n_max+1), every command is budgeted for the R x R sector
+    Hamiltonian (R = ``reachable_bound``'s), the samples x dim amplitudes and
+    one walk's periods x width period starts: width = R for exact
     propagation's sector rows, and with ``engine`` (perturb, compare and
     sweep) (J+1)R for the engine's stacked rows, J = order, which also
     budgets its width x width on map and response (``response_bound``).
@@ -92,14 +92,15 @@ def _check_size(config: "RunConfig", engine: bool = False) -> None:
     n_max = min(config.params.n_max, 1 << 32)  # the caps keep the ints small
     n_qubits = min(config.n_qubits, 64)
     dim = 2**n_qubits * (n_max + 1)
-    width = (config.order + 1 if engine else 1) * reachable_bound(n_qubits, n_max)[0]
+    reachable = reachable_bound(n_qubits, n_max)[0]
+    width = (config.order + 1 if engine else 1) * reachable
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow
     samples = config.t_final_ns / config.sample_dt_ns + 1
     switch = "switch_freq_ghz" if config.switch_freq_ghz is not None else "switch_ratio"
     walk = f"t_final_ns, {switch} and order" if engine else f"t_final_ns and {switch}"
     arrays = [
-        (dim * dim, "n_qubits and n_max"),
+        (reachable * reachable, "n_qubits and n_max"),
         (periods * width, walk),
         (samples * dim, "t_final_ns and sample_dt_ns"),
     ]

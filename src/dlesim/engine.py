@@ -54,7 +54,7 @@ class Levels:
     initial state's position among them and ``energies`` their bare energies.
     ``values`` are the distinct energies, merged as ExpPoly merges rates
     (``RATE_MERGE_TOL``), and ``of_state[i]`` is the level of ``states[i]``.
-    ``coupling`` is V among the states, (R, R).
+    ``coupling`` is V among the states, ``space.block(states)``, (R, R).
     ``inverse[a, i]`` is 1/mu with mu = i (E_i - eps_a), and 0 where
     ``same[a, i]``: state i sits on level a.
     """
@@ -82,7 +82,7 @@ class Levels:
         of_state[order] = np.searchsorted(opens, np.arange(len(ranked)), side="right")
         same = of_state == np.arange(len(values))[:, None]
         inverse = np.where(same, 0.0, 1.0 / np.where(same, 1.0, 1j * (energies - values[:, None])))
-        block = space.coupling[np.ix_(states, states)]
+        block = space.block(states)
         position = int(np.searchsorted(states, start))
         return cls(states, position, energies, values, of_state, block, same, inverse)
 

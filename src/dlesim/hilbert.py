@@ -19,9 +19,10 @@ class HilbertSpace:
     """Enumerated qubit (x) photon space: the basis interface of both pipelines.
 
     ``dim``, the per-state ``photon_counts`` and ``excitation_counts`` (the
-    bare energies), the unit ``coupling`` V and the qubit mask ``bit_table``,
-    all read-only arrays over index = photons * 2^N + bit code.  Immutable
-    after construction; safe to share between concurrent runs.
+    bare energies), the qubit mask ``bit_table`` and the unit coupling V as
+    ``edges`` (rows, cols, weights), both directions stored, all read-only
+    arrays over index = photons * 2^N + bit code; ``block`` cuts V to (R, R).
+    Immutable after construction; safe to share between concurrent runs.
     """
 
     def __init__(self, n_qubits: int, n_max: int):
@@ -33,11 +34,9 @@ class HilbertSpace:
         shifts = np.arange(n_qubits - 1, -1, -1)
         self.bit_table = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
         self.excitation_counts = self.bit_table.sum(axis=1).astype(np.int64)
-        self.coupling = _unit_coupling(self.photon_counts, codes, n_qubits)
-        self.bit_table.setflags(write=False)
-        self.photon_counts.setflags(write=False)
-        self.excitation_counts.setflags(write=False)
-        self.coupling.setflags(write=False)
+        self.edges = _unit_coupling(self.photon_counts, codes, n_qubits)
+        for array in (self.bit_table, self.photon_counts, self.excitation_counts, *self.edges):
+            array.setflags(write=False)
 
     def index_of(self, bits: Sequence[int], photons: int) -> int:
         """Inverse of the enumeration order: photons * 2^N + bit code.
@@ -65,15 +64,26 @@ class HilbertSpace:
         return check_number(name, index, int, within=(0, self.dim - 1))
 
     def sector(self, start: int) -> np.ndarray:
-        """Sorted indices of the states ``coupling`` connects to basis state
+        """Sorted indices of the states the ``edges`` connect to basis state
         ``start``: its parity class of photons + excitations when n_max >= 1."""
-        edges = self.coupling != 0
-        seen = np.arange(self.dim) == self.check_index(start, "initial")
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = edges[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        return np.flatnonzero(seen)
+        rows, cols, _ = self.edges
+        reached = np.arange(self.dim) == self.check_index(start, "initial")
+        while True:
+            before = np.count_nonzero(reached)
+            reached[rows[reached[cols]]] = True
+            if np.count_nonzero(reached) == before:
+                return np.flatnonzero(reached)
+
+    def block(self, states: np.ndarray) -> np.ndarray:
+        """V among basis ``states``, a real symmetric (R, R) array whose row and
+        column i are ``states[i]``: the order of ``states`` is kept."""
+        rows, cols, weights = self.edges
+        position = np.full(self.dim, -1)
+        position[states] = np.arange(len(states))
+        inside = (position[rows] >= 0) & (position[cols] >= 0)
+        v = np.zeros((len(states), len(states)))
+        v[position[rows[inside]], position[cols[inside]]] = weights[inside]
+        return v
 
     def __repr__(self):
         return f"HilbertSpace(n_qubits={self.n_qubits}, n_max={self.n_max})"
@@ -119,25 +129,27 @@ def _shown(value, text: str) -> str:
     return f"a {len(text)}-character value"
 
 
-def _unit_coupling(photons: np.ndarray, codes: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Real symmetric (dim, dim) matrix V of sum_q (s+_q + s-_q)(a + a^dagger).
+def _unit_coupling(photons: np.ndarray, codes: np.ndarray, n_qubits: int) -> tuple:
+    """Nonzeros (rows, cols, weights) of V = sum_q (s+_q + s-_q)(a + a^dagger).
 
     ``photons`` and ``codes`` are the photon count and bit code of every
     basis state.  Raising qubit q while removing a photon carries weight
     sqrt(n), and while adding one sqrt(n+1); the lowering entries are the
-    transposes.  Moves past the photon cutoff are dropped, and every entry
-    is written once.
+    same edges reversed, so any block of V is exactly symmetric.  Moves past
+    the photon cutoff are dropped, and every entry appears once.
     """
     n_codes, n_max = 2**n_qubits, photons[-1]
-    cols = np.arange(len(codes))
-    v = np.zeros((len(codes), len(codes)))
+    raised, lowered, weights = [], [], []
     for q in range(n_qubits):
         bit = 1 << (n_qubits - 1 - q)
         for moved in (photons - 1, photons + 1):
             ok = ((codes & bit) == 0) & (moved >= 0) & (moved <= n_max)
-            rows = moved[ok] * n_codes + (codes[ok] | bit)
-            v[rows, cols[ok]] = np.sqrt(np.maximum(photons, moved)[ok])
-    return v + v.T
+            raised.append(moved[ok] * n_codes + (codes[ok] | bit))
+            lowered.append(np.flatnonzero(ok))
+            weights.append(np.sqrt(np.maximum(photons, moved)[ok]))
+    rows = np.concatenate(raised + lowered)
+    cols = np.concatenate(lowered + raised)
+    return rows, cols, np.concatenate(weights * 2)
 
 
 def qubit_excitation(

@@ -229,10 +229,10 @@ def hamiltonian_matrix(params: SystemParams, states: np.ndarray) -> np.ndarray:
     """Hamiltonian with the coupling on among basis ``states``, a sector or all.
 
     Diagonal: omega_c*n + omega0*(excitation count).  Off-diagonal:
-    ``params.g_eff`` times the unit coupling ``space.coupling``, whose four
-    interaction terms (excitation-conserving and counter-rotating) have real
-    elements sqrt(n) or sqrt(n+1).  The (R, R) result is exactly real-symmetric.
+    ``params.g_eff`` times ``space.block(states)``, whose four interaction
+    terms (excitation-conserving and counter-rotating) have real elements
+    sqrt(n) or sqrt(n+1).  The (R, R) result is exactly real-symmetric.
     """
     space = params.space()
     h = np.diag(bare_energies(params, space)[states].astype(np.complex128))
-    return np.add(h, params.g_eff * space.coupling[np.ix_(states, states)], out=h)
+    return np.add(h, params.g_eff * space.block(states), out=h)

@@ -476,6 +476,42 @@ class TestSizeBudget:
         assert shapes["starts"] == (periods, reachable)
         assert shapes["hamiltonian"] == (reachable, reachable)
 
+    # N=11, n_max=2: dim = 6,144 and a sector of R = 3,072, so its R x R
+    # Hamiltonian holds 9.4e6 elements, where dim x dim would be 3.77e7
+    def test_exact_budgeted_at_the_sectors_square(self, tmp_path, monkeypatch):
+        class Propagated(Exception):
+            pass
+
+        def propagate(*args):
+            raise Propagated  # the run got past every size check
+
+        monkeypatch.setattr(cli, "propagate", propagate)
+        monkeypatch.setattr(cli, "run_to_order", never_runs)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_qubits": 11, "n_max": 2}))
+        with pytest.raises(Propagated):
+            main(["exact", "--config", str(path), "--out", str(tmp_path / "s.csv")])
+
+    @pytest.mark.parametrize(
+        "command, n_qubits, message",
+        [
+            # the engine's (order + 1) R = 9,216 wide on map
+            ("compare", 11, "n_qubits, n_max and order need 8.49e+07"),
+            # R = 6,144: the sector Hamiltonian itself
+            ("exact", 12, "n_qubits and n_max need 3.77e+07"),
+        ],
+    )
+    def test_sector_square_refused_past_the_budget(
+        self, tmp_path, monkeypatch, capsys, command, n_qubits, message
+    ):
+        monkeypatch.setattr(cli, "propagate", never_runs)
+        monkeypatch.setattr(cli, "run_to_order", never_runs)
+        path, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+        path.write_text(json.dumps({"n_qubits": n_qubits, "n_max": 2}))
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{message} complex numbers in one array" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_checks_every_point_before_running(self, monkeypatch, tmp_path):
         def never(point):
             raise AssertionError("a sweep point ran")

@@ -42,11 +42,12 @@ def make_schedule(ratio=20.0):
 
 
 def adjacency_of(space):
-    """For each basis state, the (index, weight) pairs ``space.coupling`` links it to."""
-    return [
-        [(j, float(space.coupling[i, j])) for j in np.flatnonzero(row).tolist()]
-        for i, row in enumerate(space.coupling)
-    ]
+    """For each basis state, the (index, weight) pairs ``space.edges`` link it to,
+    by index."""
+    adjacency = [[] for _ in range(space.dim)]
+    for i, j, weight in zip(*(array.tolist() for array in space.edges)):
+        adjacency[i].append((j, weight))
+    return [sorted(pairs) for pairs in adjacency]
 
 
 class TestZerothOrder:
@@ -187,15 +188,16 @@ class TestRunToOrder:
 
 def walked_supports(space, start, order, coupled):
     """Per order 0..order, the states reached from ``start`` by walks of that
-    many steps on the nonzeros of ``space.coupling``; none past order 0
-    unless ``coupled``."""
-    edges = space.coupling != 0
+    many steps along ``space.edges``; none past order 0 unless ``coupled``."""
+    rows, cols, _ = space.edges
     reached = np.zeros(space.dim, dtype=bool)
     reached[start] = True
     supports = []
     for _ in range(order + 1):
         supports.append(tuple(np.flatnonzero(reached).tolist()))
-        reached = edges[:, reached].any(axis=1) & coupled
+        stepped = np.zeros(space.dim, dtype=bool)
+        stepped[rows[reached[cols]]] = coupled
+        reached = stepped
     return supports
 
 
@@ -758,7 +760,7 @@ def test_response_matches_van_loan_expm(point, n_qubits):
         for h in half_periods:
             coupling = 1.0 / h
             free = np.diag(-1j * solution.levels.energies)
-            drive = -1j * coupling * solution.space.coupling[np.ix_(states, states)]
+            drive = -1j * coupling * solution.space.block(states)
             generator = np.zeros((n_orders * n_states,) * 2, dtype=np.complex128)
             for j in range(n_orders):
                 block = slice(j * n_states, (j + 1) * n_states)
@@ -796,8 +798,9 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
     first[initial] = 1.0
     z = 2.0 * params.g_eff * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     orders = np.zeros((j_max + 1, len(times), space.dim), dtype=np.complex128)
+    coupling = space.block(np.arange(space.dim))
     for z_k in z:
-        values, vectors = np.linalg.eig(np.diag(energies) + z_k * space.coupling)
+        values, vectors = np.linalg.eig(np.diag(energies) + z_k * coupling)
         inverse = np.linalg.inv(vectors)
 
         def advance(rows, taus):

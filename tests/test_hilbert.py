@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,10 +242,28 @@ def test_coupling_matches_reference_terms(n_qubits, n_max):
     for row, col, weight in coupling_terms(space):
         assert expected[row, col] == 0.0
         expected[row, col] = expected[col, row] = weight
-    assert space.coupling.dtype == np.float64
-    assert np.array_equal(space.coupling, expected)
-    with pytest.raises(ValueError):
-        space.coupling[0, 0] = 1.0
+    full = space.block(np.arange(space.dim))
+    assert full.dtype == np.float64
+    assert np.array_equal(full, expected)
+    for array in space.edges:
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    for start in (0, 1):  # both parity sectors
+        states = space.sector(start)
+        assert np.array_equal(space.block(states), expected[np.ix_(states, states)])
+
+
+def test_sector_and_its_block_stay_small():
+    # N=10, n_max=2: dim 3,072 and a sector of 1,536; a dense dim x dim
+    # coupling alone would take 75 MB
+    tracemalloc.start()
+    try:
+        space = HilbertSpace(10, 2)
+        space.block(space.sector(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6
 
 
 def test_batched_observables_match_rows():

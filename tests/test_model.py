@@ -224,6 +224,19 @@ class TestHamiltonian:
             assert np.array_equal(h, h.conj().T)
             assert np.all(h.imag == 0.0)
 
+    @pytest.mark.parametrize("n_qubits", range(1, 6))
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_blocks_exactly_symmetric(self, n_qubits, n_max):
+        # symmetric by construction: no Hermiticity check guards eigh
+        p = make_params(n_qubits=n_qubits, n_max=n_max)
+        space = p.space()
+        for states in (space.sector(0), space.sector(1), np.arange(space.dim)):
+            block = space.block(states)
+            assert block.dtype == np.float64
+            assert np.array_equal(block, block.T)
+            h = hamiltonian_matrix(p, states)
+            assert np.array_equal(h, h.conj().T)
+
     def test_block_structure_selection_rules(self):
         # off-diagonals connect (excitations, photons) differing by
         # (+-1, -+1) or (+-1, +-1) only

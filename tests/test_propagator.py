@@ -124,12 +124,6 @@ class TestEvolveSegment:
             assert out[0] == pytest.approx(np.cos(g * dt), abs=1e-12)
             assert out[1] == pytest.approx(-1j * np.sin(g * dt), abs=1e-12)
 
-    def test_rejects_non_hermitian(self):
-        space = HilbertSpace(1, 0)
-        h = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            evolve_segment(h, 0.1, basis_vector(space, 0))
-
     def test_norm_preserved(self):
         params = make_params()
         h = hamiltonian_matrix(params, np.arange(params.space().dim))
