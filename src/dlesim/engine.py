@@ -220,14 +220,29 @@ class PerturbativeSolution:
         edges = switching_grid(self.schedule, self.t_final)
         return SegmentWalk(self.schedule, edges, first, on_map, energies)
 
-    def _evaluate(self, times: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Sum of the coefficients of orders lo..hi, shape (len(times), dim)."""
+    def coefficient(self, order: int, state_index: int, t: float) -> complex:
+        """alpha^(order) of one basis state at time t: a checked scalar view of
+        the range read of that order alone, so exactly 0 off its support."""
+        order = check_number("order", order, int, within=(0, self.order))
+        state_index = self.space.check_index(state_index, "state_index")
+        return complex(self.amplitudes_at(float(t), order, min_order=order)[state_index])
+
+    def amplitudes_at(
+        self, times: Union[float, np.ndarray], max_order: Optional[int] = None, *, min_order: int = 0
+    ) -> np.ndarray:
+        """Summed coefficients of orders min_order..max_order (default 0..all):
+        (dim,) for a scalar time, one row per time (S, dim) for an array.  Read
+        alone (min_order = max_order = j), order j is exactly 0 off its support."""
+        hi = self.order if max_order is None else max_order
+        hi = check_number("max_order", hi, int, within=(0, self.order))
+        lo = check_number("min_order", min_order, int, within=(0, hi))
+        times = np.asarray(times, dtype=float)
         states = self.levels.states
         free_rates = -1j * self.levels.energies
-        out = np.zeros((len(times), self.space.dim), dtype=np.complex128)
+        out = np.zeros((times.size, self.space.dim), dtype=np.complex128)
         widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
         batch = max(1, _BATCH_ELEMENTS // max(1, widest * len(states)))
-        for part, on, t, x in self.walk.segment_starts(times, batch):
+        for part, on, t, x in self.walk.segment_starts(times.reshape(-1), batch):
             x = x.reshape(len(t), len(self.tables), len(states))
             block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
             step = on & (t > 0)  # Phi_m(0) = 0 for m >= 1
@@ -238,24 +253,7 @@ class PerturbativeSolution:
                         vectors = x[step, max(lo - m, 0) : hi - m + 1].sum(axis=1)
                         block[step] += table.apply(t[step], vectors)
             out[part, states] = block
-        return out
-
-    def coefficient(self, order: int, state_index: int, t: float) -> complex:
-        """alpha^(order) for one basis state at time t; exactly 0 off the order's support."""
-        order = check_number("order", order, int, within=(0, self.order))
-        state_index = self.space.check_index(state_index, "state_index")
-        return complex(self._evaluate(np.array([float(t)]), order, order)[0, state_index])
-
-    def amplitudes_at(
-        self, times: Union[float, np.ndarray], max_order: Optional[int] = None
-    ) -> np.ndarray:
-        """Summed coefficients of orders 0..max_order (default all):
-        (dim,) for a scalar time, one row per time (S, dim) for an array."""
-        max_order = self.order if max_order is None else max_order
-        max_order = check_number("max_order", max_order, int, within=(0, self.order))
-        times = np.asarray(times, dtype=float)
-        amplitudes = self._evaluate(times.reshape(-1), 0, max_order)
-        return amplitudes[0] if times.ndim == 0 else amplitudes
+        return out[0] if times.ndim == 0 else out
 
     def excitation_probability(
         self, qubit_index: int, t: Union[float, np.ndarray]

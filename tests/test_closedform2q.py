@@ -305,7 +305,7 @@ def gaps_against_engine(n_qubits, ratio):
     for name, (order, mask) in classes.items():
         if mask.any():
             # every row of ``coefficient(order, ., t)``, all times at once
-            engine = solution._evaluate(times, order, order)[:, mask]
+            engine = solution.amplitudes_at(times, order, min_order=order)[:, mask]
             gaps[name] = float(np.abs(engine - closed[:, mask]).max() / np.abs(engine).max())
     return gaps
 

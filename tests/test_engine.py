@@ -246,6 +246,8 @@ class TestReads:
             sol.coefficient(order, 0, 0.5)
         with pytest.raises(ValueError, match=f"^max_order {fault}"):
             sol.amplitudes_at(0.5, order)
+        with pytest.raises(ValueError, match=f"^min_order {fault}"):
+            sol.amplitudes_at(0.5, 2, min_order=order)
         with pytest.raises(ValueError, match=f"^order {fault}"):
             sol.support(order)
 
@@ -262,6 +264,18 @@ class TestReads:
             single = sol.amplitudes_at(float(t))
             assert single.shape == (sol.space.dim,)
             assert single.tobytes() == sol.amplitudes_at(np.array([t]))[0].tobytes()
+
+    def test_order_reads_are_the_coefficients_and_sum_to_the_summed_read(self):
+        # compare-deep's engine: N=2, n_max=4, order 4, ratio 20
+        sol = run_to_order(make_params(n_max=4), make_schedule(), 4, 20.0)
+        times = np.linspace(0.0, 20.0, 401)
+        reads = [sol.amplitudes_at(times, j, min_order=j) for j in range(5)]
+        for j, read in enumerate(reads):
+            for idx, s in itertools.product(range(0, sol.space.dim, 3), range(0, 401, 57)):
+                want = np.complex128(sol.coefficient(j, idx, float(times[s])))
+                assert read[s, idx].tobytes() == want.tobytes(), (j, idx, float(times[s]))
+        summed = sol.amplitudes_at(times)
+        assert np.abs(sum(reads) - summed).max() <= 1e-15 * np.abs(summed).max()
 
 
 class TestRetimed:
@@ -783,12 +797,20 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
     times, by Cauchy integrals of the exact state psi(z) at complex coupling z.
 
     psi(z) is entire in z, and x_j(1) is its j-th Taylor coefficient, so it is
-    (1/K) sum_k psi(z_k) z_k^-j over z_k = r e^(2 pi i k / K), r = 2 g_eff
-    (Lyness & Moler, SIAM J. Numer. Anal. 4, 202, 1967).  Each psi(z_k) walks
-    ``SegmentWalk`` over the full basis with H(z) = E + z V, complex symmetric:
-    ``eig`` and its inverse give the on map, and nothing projects it.  No
-    residue and no order recursion is shared with the engine.  Returns
-    (times, orders) with orders[j] of shape (len(times), dim).
+    (1/K) sum_k psi(z_k) z_k^-j over z_k = r e^(2 pi i k / K) (Lyness & Moler,
+    SIAM J. Numer. Anal. 4, 202, 1967).  Each psi(z_k) walks ``SegmentWalk``
+    over the full basis with H(z) = E + z V, complex symmetric: ``eig`` and its
+    inverse give the on map, and nothing projects it.  No residue and no order
+    recursion is shared with the engine.
+
+    The radius is chosen per order on the ladder r_m = 2 g_eff 2^-m, m < 12.
+    |psi(z)| grows like e^(r ||V|| t), so a wide circle loses x_j to rounding,
+    while a narrow one divides that rounding by r^j.  Order j keeps the rung
+    whose estimate agrees best with the next rung's, by max|x_j(r_m) -
+    x_j(r_{m+1})| / max|x_j(r_m)|, and the descent stops once every order has
+    agreed within ``CONTOUR_AGREE``.  Only the contour's own estimates choose;
+    the engine is never read.  Returns (times, orders) with orders[j] of shape
+    (len(times), dim).
     """
     space = params.space()
     energies = bare_energies(params, space)
@@ -796,11 +818,11 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
     times = sample_times(t_final, sample_dt)
     first = np.zeros(space.dim, dtype=np.complex128)
     first[initial] = 1.0
-    z = 2.0 * params.g_eff * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    orders = np.zeros((j_max + 1, len(times), space.dim), dtype=np.complex128)
     coupling = space.block(np.arange(space.dim))
-    for z_k in z:
-        values, vectors = np.linalg.eig(np.diag(energies) + z_k * coupling)
+
+    def psi(z):
+        """The exact state at coupling z, one row per sample time."""
+        values, vectors = np.linalg.eig(np.diag(energies) + z * coupling)
         inverse = np.linalg.inv(vectors)
 
         def advance(rows, taus):
@@ -809,35 +831,66 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
 
         on_map = advance(np.eye(space.dim), np.full(space.dim, schedule.half_period))
         walk = SegmentWalk(schedule, edges, first, on_map, energies)
-        psi = np.empty((len(times), space.dim), dtype=np.complex128)
+        out = np.empty((len(times), space.dim), dtype=np.complex128)
         for part, on, tau, rows in walk.segment_starts(times, len(times)):
             rows[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
             rows[on] = advance(rows[on], tau[on])
-            psi[part] = rows
-        orders += psi * (z_k ** -np.arange(j_max + 1))[:, None, None]
-    return times, orders / nodes
+            out[part] = rows
+        return out
+
+    def rung(radius):
+        """Every order's estimate on the circle of this radius, (j_max + 1, S, dim)."""
+        z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        powers = z[:, None] ** -np.arange(j_max + 1)
+        return sum(p[:, None, None] * psi(z_k) for z_k, p in zip(z, powers)) / nodes
+
+    radii = 2.0 * params.g_eff * 2.0 ** -np.arange(12)
+    previous = rung(radii[0])
+    kept = previous.copy()
+    best = np.full(j_max + 1, np.inf)
+    for radius in radii[1:]:
+        current = rung(radius)
+        scale = np.abs(previous).max(axis=(1, 2))
+        agree = np.abs(previous - current).max(axis=(1, 2)) / scale
+        better = agree < best
+        kept[better] = previous[better]
+        best[better] = agree[better]
+        if np.all(best <= CONTOUR_AGREE):
+            break
+        previous = current
+    return times, kept
 
 
 def contour_errors(params, schedule, t_final, j_max=4, sample_dt=0.01):
     """Per order j, max|engine - contour| / max|engine| over the samples, with the
-    engine's order j read at unit coupling, ``_evaluate(times, j, j) / g_eff**j``."""
+    engine's order j read alone at unit coupling,
+    ``amplitudes_at(times, j, min_order=j) / g_eff**j``."""
     times, orders = contour_orders(params, schedule, t_final, sample_dt, j_max)
     solution = run_to_order(params, schedule, j_max, t_final)
     errors = []
     for j in range(j_max + 1):
-        engine_j = solution._evaluate(times, j, j) / params.g_eff**j
+        engine_j = solution.amplitudes_at(times, j, min_order=j) / params.g_eff**j
         errors.append(np.abs(engine_j - orders[j]).max() / np.abs(engine_j).max())
     return errors
 
 
 CONTOUR_TOL = 1e-8
-# (n_qubits, n_max, ratio, t_final ns) at the paper's frequencies and coupling
-CONTOUR_CASES = [(2, 8, 20.0, 5.0), (2, 8, 2.5, 5.0), (2, 8, 20.0, 20.0), (5, 3, 20.0, 5.0)]
+# the radius ladder stops once every order has had two successive rungs agree this well
+CONTOUR_AGREE = 1e-9
+# (n_qubits, n_max, ratio, t_final ns, g GHz) at the paper's frequencies
+CONTOUR_CASES = [
+    (2, 8, 20.0, 5.0, 0.05),
+    (2, 8, 2.5, 5.0, 0.05),
+    (2, 8, 20.0, 20.0, 0.05),
+    (5, 3, 20.0, 5.0, 0.05),
+    (3, 3, 2.5, 20.0, 0.15),
+    (3, 3, 20.0, 20.0, 0.15),
+]
 
 
-@pytest.mark.parametrize("n_qubits, n_max, ratio, t_final", CONTOUR_CASES)
-def test_orders_match_contour_integrals_of_the_exact_walk(n_qubits, n_max, ratio, t_final):
-    params = SystemParams(W0, WC, G, n_qubits, n_max)
+@pytest.mark.parametrize("n_qubits, n_max, ratio, t_final, g_ghz", CONTOUR_CASES)
+def test_orders_match_contour_integrals_of_the_exact_walk(n_qubits, n_max, ratio, t_final, g_ghz):
+    params = SystemParams(W0, WC, TWO_PI * g_ghz, n_qubits, n_max)
     errors = contour_errors(params, make_schedule(ratio), t_final)
     assert max(errors) <= CONTOUR_TOL, errors
 

@@ -113,16 +113,18 @@ def test_sector_is_the_starts_closed_parity_class(n_qubits, n_max, data):
     ratio=st.floats(min_value=2.2, max_value=40.0),
     n_qubits=st.integers(min_value=1, max_value=3),
     n_max=st.integers(min_value=1, max_value=3),
-    angle=st.floats(min_value=0.25, max_value=2.0),
+    window=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_orders_match_contour_integrals_at_random_points(g_ghz, ratio, n_qubits, n_max, angle):
-    # At the paper's frequencies.  |psi(z)| on the contour grows like
-    # exp(|z| t), so the window is held to g_eff t_final <= 2 rad; below
+def test_orders_match_contour_integrals_at_random_points(g_ghz, ratio, n_qubits, n_max, window):
+    # At the paper's frequencies.  t_final runs log-uniformly from 0.25 / g_eff
+    # to 20 ns (g_eff t_final up to 19 rad); |psi(z)| grows like exp(|z| t),
+    # and the contour's radius per order keeps its digits there.  Below
     # g = 0.05 GHz or 0.25 rad an order's share of psi(z) nears the walk's
     # rounding, and its relative error stops resolving the engine's
     params = SystemParams(W0, WC, TWO_PI * g_ghz, n_qubits, n_max)
     schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
-    t_final = angle / params.g_eff
+    shortest = 0.25 / params.g_eff
+    t_final = shortest * (20.0 / shortest) ** window
     errors = contour_errors(params, schedule, t_final, sample_dt=t_final / 50)
     assert max(errors) <= CONTOUR_TOL, errors
 
