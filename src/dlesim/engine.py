@@ -214,8 +214,7 @@ class PerturbativeSolution:
         zero = np.zeros_like(blocks[0])
         orders = range(len(blocks))
         on_map = np.block([[blocks[j - i] if j >= i else zero for j in orders] for i in orders])
-        first = np.zeros(len(on_map), dtype=np.complex128)
-        first[self.levels.start] = 1.0
+        first = (np.arange(len(on_map)) == self.levels.start).astype(np.complex128)
         energies = np.tile(self.levels.energies, len(self.tables))
         edges = switching_grid(self.schedule, self.t_final)
         return SegmentWalk(self.schedule, edges, first, on_map, energies)
@@ -239,20 +238,20 @@ class PerturbativeSolution:
         times = np.asarray(times, dtype=float)
         states = self.levels.states
         free_rates = -1j * self.levels.energies
-        out = np.zeros((times.size, self.space.dim), dtype=np.complex128)
-        widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
-        batch = max(1, _BATCH_ELEMENTS // max(1, widest * len(states)))
-        for part, on, t, x in self.walk.segment_starts(times.reshape(-1), batch):
+
+        def inside(on, t, x, step):
             x = x.reshape(len(t), len(self.tables), len(states))
             block = np.exp(np.outer(t, free_rates)) * x[:, lo : hi + 1].sum(axis=1)
-            step = on & (t > 0)  # Phi_m(0) = 0 for m >= 1
-            if step.any():
-                for m in range(1, hi + 1):
-                    table = self.tables[m]
-                    if table.n_terms:
-                        vectors = x[step, max(lo - m, 0) : hi - m + 1].sum(axis=1)
-                        block[step] += table.apply(t[step], vectors)
-            out[part, states] = block
+            for m in range(1, hi + 1):
+                table = self.tables[m]
+                if table.n_terms and step.any():
+                    vectors = x[step, max(lo - m, 0) : hi - m + 1].sum(axis=1)
+                    block[step] += table.apply(t[step], vectors)
+            return block
+
+        widest = max((t.n_terms for t in self.tables[1 : hi + 1]), default=0)
+        batch = max(1, _BATCH_ELEMENTS // max(1, widest * len(states)))
+        out = self.walk.sample(times.reshape(-1), batch, inside, states, self.space.dim)
         return out[0] if times.ndim == 0 else out
 
     def excitation_probability(

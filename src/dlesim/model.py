@@ -185,21 +185,22 @@ class SegmentWalk:
         period_map = on_map * np.exp(-1j * energies * schedule.half_period)
         self.starts = period_starts(first, period_map, (len(edges) - 2) // 2 + 1, project)
 
-    def segment_starts(self, times: np.ndarray, batch: int):
-        """Yield (part, on, tau, rows) per ``batch`` times, placed by ``locate``.
+    def sample(self, times: np.ndarray, batch: int, inside, states: np.ndarray, dim: int):
+        """Rows at ``times`` on ``states`` of a zero (S, dim) array, ``batch`` at a time.
 
-        ``rows`` start each time's segment (an off one's are past the on
-        map), ``tau`` is the local time and ``on`` the segment's kind.
+        ``inside(on, tau, rows, step)`` takes the row starting each time's segment
+        (an off one's past the on map) to its local time; ``step``: on, past tau = 0.
         """
-        segments, tau = locate(self.edges, times)
+        out = np.zeros((len(times), dim), dtype=np.complex128)
+        segments, taus = locate(self.edges, times)
         for start in range(0, len(times), batch):
             part = slice(start, start + batch)
-            k = segments[part]
+            k, tau = segments[part], taus[part]
             rows = self.starts[k // 2]
             on = self.schedule.is_on(k)
-            off = np.flatnonzero(~on)
-            rows[off] = row_products(rows[off], self.on_map)
-            yield part, on, tau[part], rows
+            rows[~on] = row_products(rows[~on], self.on_map)
+            out[part, states] = inside(on, tau, rows, on & (tau > 0))
+        return out
 
 
 def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:

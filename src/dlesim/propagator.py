@@ -100,13 +100,13 @@ def propagate(
     on_map = _unitary(coupled.advance(np.eye(len(states)), half_periods))
     walk = SegmentWalk(schedule, edges, first, on_map, energies, _unitary)
 
-    out = np.zeros((len(times), space.dim), dtype=np.complex128)
-    batch = max(1, _BATCH_ELEMENTS // len(states))
-    for part, on, tau, psi in walk.segment_starts(times, batch):
+    def inside(on, tau, psi, step):
         psi[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
-        step = on & (tau > 0)  # at tau = 0 the row is the segment's start
         psi[step] = coupled.advance(psi[step], tau[step])
-        out[part, states] = psi
+        return psi
+
+    batch = max(1, _BATCH_ELEMENTS // len(states))
+    out = walk.sample(times, batch, inside, states, space.dim)
     return Trajectory(times=times, amplitudes=out, space=space)
 
 

@@ -803,12 +803,13 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
     inverse give the on map, and nothing projects it.  No residue and no order
     recursion is shared with the engine.
 
-    The radius is chosen per order on the ladder r_m = 2 g_eff 2^-m, m < 12.
+    The radius is chosen per order on the ladder r_m = 4 g_eff 2^-m, m <= 12.
     |psi(z)| grows like e^(r ||V|| t), so a wide circle loses x_j to rounding,
     while a narrow one divides that rounding by r^j.  Order j keeps the rung
     whose estimate agrees best with the next rung's, by max|x_j(r_m) -
     x_j(r_{m+1})| / max|x_j(r_m)|, and the descent stops once every order has
-    agreed within ``CONTOUR_AGREE``.  Only the contour's own estimates choose;
+    agreed within ``CONTOUR_AGREE`` or agreed worse than its best on each of
+    the last two rungs.  Only the contour's own estimates choose;
     the engine is never read.  Returns (times, orders) with orders[j] of shape
     (len(times), dim).
     """
@@ -829,14 +830,14 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
             """Rows (exp(-i H(z) tau) psi)^T for rows psi^T."""
             return (rows @ inverse.T) * np.exp(-1j * np.outer(taus, values)) @ vectors.T
 
+        def inside(on, tau, rows, step):
+            rows[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
+            rows[step] = advance(rows[step], tau[step])
+            return rows
+
         on_map = advance(np.eye(space.dim), np.full(space.dim, schedule.half_period))
         walk = SegmentWalk(schedule, edges, first, on_map, energies)
-        out = np.empty((len(times), space.dim), dtype=np.complex128)
-        for part, on, tau, rows in walk.segment_starts(times, len(times)):
-            rows[~on] *= np.exp(-1j * np.outer(tau[~on], energies))
-            rows[on] = advance(rows[on], tau[on])
-            out[part] = rows
-        return out
+        return walk.sample(times, len(times), inside, np.arange(space.dim), space.dim)
 
     def rung(radius):
         """Every order's estimate on the circle of this radius, (j_max + 1, S, dim)."""
@@ -844,10 +845,11 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
         powers = z[:, None] ** -np.arange(j_max + 1)
         return sum(p[:, None, None] * psi(z_k) for z_k, p in zip(z, powers)) / nodes
 
-    radii = 2.0 * params.g_eff * 2.0 ** -np.arange(12)
+    radii = 4.0 * params.g_eff * 2.0 ** -np.arange(13)
     previous = rung(radii[0])
     kept = previous.copy()
     best = np.full(j_max + 1, np.inf)
+    worse = np.zeros(j_max + 1, dtype=int)  # rungs since each order's best
     for radius in radii[1:]:
         current = rung(radius)
         scale = np.abs(previous).max(axis=(1, 2))
@@ -855,7 +857,8 @@ def contour_orders(params, schedule, t_final, sample_dt, j_max, initial=0, nodes
         better = agree < best
         kept[better] = previous[better]
         best[better] = agree[better]
-        if np.all(best <= CONTOUR_AGREE):
+        worse = np.where(better, 0, worse + 1)
+        if np.all((best <= CONTOUR_AGREE) | (worse >= 2)):
             break
         previous = current
     return times, kept
@@ -875,7 +878,8 @@ def contour_errors(params, schedule, t_final, j_max=4, sample_dt=0.01):
 
 
 CONTOUR_TOL = 1e-8
-# the radius ladder stops once every order has had two successive rungs agree this well
+# the radius ladder stops once every order has had two successive rungs agree this
+# well, or has agreed worse than its best on each of the last two rungs
 CONTOUR_AGREE = 1e-9
 # (n_qubits, n_max, ratio, t_final ns, g GHz) at the paper's frequencies
 CONTOUR_CASES = [
@@ -885,6 +889,7 @@ CONTOUR_CASES = [
     (5, 3, 20.0, 5.0, 0.05),
     (3, 3, 2.5, 20.0, 0.15),
     (3, 3, 20.0, 20.0, 0.15),
+    (1, 1, 36.5, 1.35, 0.051),
 ]
 
 

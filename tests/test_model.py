@@ -437,7 +437,7 @@ class TestPeriodStarts:
         assert len(calls) == squarings
 
 
-def naive_segment_starts(edges, first, on_map, energies, h):
+def naive_segment_rows(edges, first, on_map, energies, h):
     """Row at the start of every segment, one segment's map at a time."""
     rows = [first]
     for k in range(len(edges) - 2):
@@ -446,17 +446,21 @@ def naive_segment_starts(edges, first, on_map, energies, h):
 
 
 def walk_all(walk, times, batch):
-    """Every batch of ``segment_starts`` joined, with the parts checked to tile the times."""
-    parts, ons, taus, rows = [], [], [], []
-    for part, on, tau, r in walk.segment_starts(times, batch):
-        parts.append(part)
+    """``sample``'s segment-start rows at every time, with the (on, tau) it passes
+    joined, and the batches checked to tile the times in runs of ``batch``."""
+    ons, taus = [], []
+
+    def inside(on, tau, rows, step):
+        assert np.array_equal(step, on & (tau > 0))
         ons.append(on)
         taus.append(tau)
-        rows.append(r)
-    covered = np.concatenate([np.arange(len(times))[p] for p in parts])
-    assert np.array_equal(covered, np.arange(len(times)))
-    assert all(len(r) <= batch for r in rows)
-    return np.concatenate(ons), np.concatenate(taus), np.concatenate(rows)
+        return rows
+
+    width = walk.starts.shape[1]
+    rows = walk.sample(times, batch, inside, np.arange(width), width)
+    sizes = [len(tau) for tau in taus]
+    assert sizes == [min(batch, len(times) - start) for start in range(0, len(times), batch)]
+    return np.concatenate(ons), np.concatenate(taus), rows
 
 
 class TestSegmentWalk:
@@ -477,7 +481,7 @@ class TestSegmentWalk:
         ]))
         walk = SegmentWalk(schedule, edges, first, on_map, energies)
         assert walk.edges is edges
-        naive = naive_segment_starts(edges, first, on_map, energies, h)
+        naive = naive_segment_rows(edges, first, on_map, energies, h)
         k, tau = locate(edges, times)
 
         on, got_tau, rows = walk_all(walk, times, len(times) + 5)

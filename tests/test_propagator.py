@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,9 @@ from dlesim.model import (
     TWO_PI,
     CouplingSchedule,
     SystemParams,
+    bare_energies,
     hamiltonian_matrix,
+    locate,
     switching_grid,
 )
 from dlesim.propagator import (
@@ -84,6 +87,44 @@ def walk_oracle(params, schedule, t_final, sample_dt, initial=0):
         while k < n_seg - 1 and abs(float(edges[k + 1]) - t_cur) <= tol:
             k += 1
     return times, out
+
+
+def mp_walk(params, schedule, times, initial=0, dps=30):
+    """Reference walk at ``dps`` digits over the start's sector, one row per time.
+
+    ``mp.expm`` of the on Hamiltonian gives the on map, the period map is
+    raised to each sample's period count by squaring, and one more
+    exponential takes the row into the sample's segment.  The doubles it is
+    given (Hamiltonian, energies, T/2 and each local time from ``locate``) are
+    taken as exact, so what it measures is the walk's own rounding.
+    """
+    space = params.space()
+    states = space.sector(initial)
+    segments, taus = locate(switching_grid(schedule, float(times[-1])), times)
+    with mpmath.workdps(dps):
+        h_on = mpmath.matrix(hamiltonian_matrix(params, states).real.tolist())
+        energies = [mpmath.mpf(e) for e in bare_energies(params, space)[states].tolist()]
+
+        def on(tau):
+            return mpmath.expm(-1j * mpmath.mpf(tau) * h_on)
+
+        def free(tau):
+            return mpmath.diag([mpmath.expj(-e * mpmath.mpf(tau)) for e in energies])
+
+        on_half = on(schedule.half_period)
+        squarings = [free(schedule.half_period) * on_half]  # period map^(2^i)
+        for _ in range(int(segments.max() // 2).bit_length() - 1):
+            squarings.append(squarings[-1] * squarings[-1])
+        start = mpmath.matrix([[float(state == initial)] for state in states.tolist()])
+        rows = []
+        for k, tau in zip(segments.tolist(), taus.tolist()):
+            psi = start
+            for i, power in enumerate(squarings):
+                if (k // 2) >> i & 1:
+                    psi = power * psi
+            psi = free(tau) * (on_half * psi) if k % 2 else on(tau) * psi
+            rows.append([complex(x) for x in psi])
+    return states, np.array(rows)
 
 
 def max_oracle_gap(params, schedule, t_final, sample_dt, initial=0):
@@ -320,6 +361,19 @@ class TestGridWalk:
         params = make_params(n_max=3, n_qubits=n_qubits)
         schedule = CouplingSchedule.from_switching_frequency(2.0 * W0)
         assert max_oracle_gap(params, schedule, 40.0, 0.05) <= 1e-12
+
+    def test_long_window_matches_30_digit_walk(self):
+        # 8,700 segments, where walk_oracle's own rounding reaches 1.1e-12;
+        # propagate keeps within 1e-16 per segment of the 30-digit walk
+        params = make_params(n_max=3, n_qubits=1)
+        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
+        segments = len(switching_grid(schedule, 40.0)) - 1
+        assert segments > 8_000
+        traj = propagate(params, schedule, 40.0, 2.5)
+        assert len(traj.times) <= 20
+        states, reference = mp_walk(params, schedule, traj.times)
+        gap = np.abs(traj.amplitudes[:, states] - reference).max()
+        assert gap <= 1e-16 * segments
 
     def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # one sample per batch: every on-segment product has a single row
