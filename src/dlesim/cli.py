@@ -277,11 +277,17 @@ def _closedform_column(
     return qubit_excitation(amps, params.space(), config.qubit_index), False
 
 
-def build_engine(config: RunConfig) -> PerturbativeSolution:
-    """The perturbation engine of one config, up to its order, once its
-    arrays are checked against the size budget."""
-    _check_size(config, engine=True)
-    return run_to_order(config.params, config.schedule, config.order, config.t_final_ns)
+def build_engine(*configs: RunConfig) -> PerturbativeSolution:
+    """The perturbation engine of the first config, up to its order, once its
+    arrays on every config's grid are checked against the size budget.
+
+    The configs may differ only in their grids (period and window), on which
+    the engine is read through ``retimed``.
+    """
+    for config in configs:
+        _check_size(config, engine=True)
+    first = configs[0]
+    return run_to_order(first.params, first.schedule, first.order, first.t_final_ns)
 
 
 def exact_vs_pert(
@@ -352,12 +358,10 @@ def cmd_sweep(
     ratios = [
         ratio_min + (ratio_max - ratio_min) * i / (points - 1) for i in range(points)
     ]
-    # every point is checked against the size budget before the first runs
+    # the ratio sets only the grid: one engine serves every point, and every
+    # point is checked against the size budget before the first runs
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]
-    for point in configs:
-        _check_size(point, engine=True)
-    # the ratio sets only the grid: one engine serves every point
-    engine = build_engine(configs[0])
+    engine = build_engine(*configs)
     rows = np.array([_sweep_point(point, engine) for point in configs])
     write_csv(out_path, ("switch_ratio", "sup_abs_diff", "max_p_pert"), rows)
     return EXIT_OK

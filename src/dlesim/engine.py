@@ -32,7 +32,7 @@ import numpy as np
 
 from .exppoly import RATE_MERGE_TOL, ExpPoly
 from .exppoly import linear_combination  # noqa: F401  (wrapped by bench/tracer.py)
-from .hilbert import HilbertSpace, check_number, qubit_excitation
+from .hilbert import check_number, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
@@ -69,10 +69,11 @@ class Levels:
     inverse: np.ndarray
 
     @classmethod
-    def of(cls, space: HilbertSpace, energies: np.ndarray, start: int) -> "Levels":
-        """The sector of basis state ``start``; ``energies`` spans the basis."""
+    def of(cls, params: SystemParams, start: int) -> "Levels":
+        """The sector of basis state ``start`` in ``params``' basis."""
+        space = params.space()
         states = space.sector(start)
-        energies = energies[states]
+        energies = bare_energies(params, space)[states]
         order = np.argsort(energies, kind="stable")
         ranked = energies[order]
         gap = RATE_MERGE_TOL * np.maximum(1.0, np.abs(ranked[:-1]))
@@ -187,14 +188,6 @@ class PerturbativeSolution:
         photons = (space.photon_counts[list(t.support)] for t in self.tables[:-1])
         return (0, *(space.n_qubits * int((p == space.n_max).sum()) for p in photons))
 
-    def extended(self, table: OrderTable) -> "PerturbativeSolution":
-        if table.order != self.order + 1:
-            raise ValueError(
-                f"expected order {self.order + 1} table, got order {table.order}"
-            )
-        tables = self.tables + (table,)
-        return PerturbativeSolution(self.params, self.schedule, self.t_final, tables)
-
     def retimed(
         self, schedule: CouplingSchedule, t_final: float
     ) -> "PerturbativeSolution":
@@ -272,12 +265,9 @@ def zeroth_order(
     a nonzero-energy initial state carries its free phase exp(-i*E*t).
     The order-0 response is that free phase on every reachable state.
     """
-    space = params.space()
-    levels = Levels.of(space, bare_energies(params, space), initial)
-    n_states = len(levels.states)
-    diagonal = np.arange(n_states)
-    table = np.zeros((1, len(levels.values), n_states, n_states), dtype=np.complex128)
-    table[0, levels.of_state, diagonal, diagonal] = 1.0
+    levels = Levels.of(params, initial)
+    # [power 0, level a, n, i]: 1 where n = i and state i sits on level a
+    table = levels.same[None, :, None, :] * np.eye(len(levels.states), dtype=np.complex128)
     return PerturbativeSolution(params, schedule, t_final, (OrderTable(0, table, levels),))
 
 
@@ -344,7 +334,8 @@ def run_to_order(
     j_max = check_number("j_max", j_max, int, at_least=0)
     solution = zeroth_order(params, schedule, t_final, initial)
     for _ in range(j_max):
-        solution = solution.extended(next_order(solution))
+        tables = solution.tables + (next_order(solution),)
+        solution = PerturbativeSolution(params, schedule, t_final, tables)
     return solution
 
 

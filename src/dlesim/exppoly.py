@@ -48,11 +48,6 @@ class ExpPoly:
         """c * exp(rate * t)."""
         return cls(((complex(c), 0, complex(rate)),))
 
-    @classmethod
-    def monomial(cls, c: complex, power: int) -> "ExpPoly":
-        """c * t^power."""
-        return cls(((complex(c), int(power), 0j),))
-
     # -- algebra ------------------------------------------------------------
 
     def add(self, other: "ExpPoly") -> "ExpPoly":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -120,18 +119,16 @@ def convergence_check(
     schedule: CouplingSchedule,
     t_final: float,
     qubit_index: int = 0,
-    sample_dt: Optional[float] = None,
 ) -> float:
     """sup|P(n_max) - P(n_max + 1)| over [0, t_final]: how much one qubit's
-    excitation probability moves when the photon cutoff is raised by one."""
+    excitation probability moves when the photon cutoff is raised by one,
+    sampled every t_final / 1000."""
     check_number("n_max", params.n_max, int, at_least=1)
     check_number("t_final", t_final, above=0)
     check_number("qubit_index", qubit_index, int, within=(0, params.n_qubits - 1))
-    if sample_dt is None:
-        sample_dt = t_final / 1000.0
     bigger = replace(params, n_max=params.n_max + 1)
     p_base, p_bigger = (
-        propagate(p, schedule, t_final, sample_dt).excitation_probabilities(qubit_index)
+        propagate(p, schedule, t_final, t_final / 1000.0).excitation_probabilities(qubit_index)
         for p in (params, bigger)
     )
     return float(np.max(np.abs(p_base - p_bigger)))

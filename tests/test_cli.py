@@ -532,6 +532,26 @@ class TestSizeBudget:
         with pytest.raises(ConfigError, match="t_final_ns, switch_ratio and order"):
             cmd_sweep(cfg, str(tmp_path / "s.csv"), 1.0, 2000.0, 3)
 
+    def test_sweep_budgets_each_point_once_for_one_engine(self, monkeypatch, tmp_path):
+        checks, builds = [], []
+        check_size, build = cli._check_size, cli.run_to_order
+
+        def counted_check(config, engine=False):
+            checks.append(engine)
+            check_size(config, engine)
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_check_size", counted_check)
+        monkeypatch.setattr(cli, "run_to_order", counted_build)
+        cmd_sweep(fast_config(), str(tmp_path / "s.csv"), 5.0, 20.0, 3)
+        # one engine-mode check per point and one build; a point past the
+        # budget is refused before the build (the test above)
+        assert checks.count(True) == 3
+        assert len(builds) == 1
+
     def test_sweep_points_checked_before_any_point_is_built(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "_sweep_point", never_runs)
         monkeypatch.setattr(cli, "replace", never_runs)

@@ -88,8 +88,7 @@ class TestNextOrder:
     def test_first_segment_analytic_solution(self):
         # inside the first on half-period: alpha1 = (g/W)(exp(-iWt) - 1)
         schedule = make_schedule()
-        sol = zeroth_order(make_params(), schedule, 1.0)
-        sol = sol.extended(next_order(sol))
+        sol = run_to_order(make_params(), schedule, 1, 1.0)
         idx = sol.space.index_of((0, 1), 1)
         for frac in (0.2, 0.5, 0.9):
             t = frac * schedule.half_period
@@ -153,11 +152,6 @@ class TestRunToOrder:
         for j in (1, 2):
             for idx in sol.support(j):
                 assert abs(sol.coefficient(j, idx, 0.0)) <= 1e-15
-
-    def test_extended_rejects_a_table_of_another_order(self):
-        sol = run_to_order(make_params(n_max=2), make_schedule(), 2, 1.0)
-        with pytest.raises(ValueError, match="^expected order 3 table, got order 1$"):
-            sol.extended(sol.tables[1])
 
     def test_truncation_warning_counter(self):
         sol = run_to_order(make_params(n_max=1), make_schedule(), 2, 1.0)

@@ -32,8 +32,8 @@ class TestAdd:
         assert a.add(b).is_zero()
 
     def test_distinct_powers_kept(self):
-        a = ExpPoly.monomial(1.0, 1)
-        b = ExpPoly.monomial(1.0, 2)
+        a = ExpPoly(((1.0, 1, 0j),))
+        b = ExpPoly(((1.0, 2, 0j),))
         assert len(a.add(b)) == 2
 
     def test_zero_identity(self):

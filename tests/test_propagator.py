@@ -362,15 +362,25 @@ class TestGridWalk:
         schedule = CouplingSchedule.from_switching_frequency(2.0 * W0)
         assert max_oracle_gap(params, schedule, 40.0, 0.05) <= 1e-12
 
-    def test_long_window_matches_30_digit_walk(self):
-        # 8,700 segments, where walk_oracle's own rounding reaches 1.1e-12;
+    @pytest.mark.parametrize(
+        "n_qubits, n_max, ratio, t_final",
+        [
+            # 8,703 segments, where walk_oracle's own rounding reaches 1.1e-12
+            (1, 3, 20.0, 40.0),
+            (2, 3, 20.0, 40.0),
+            (3, 2, 20.0, 40.0),
+            # exact-long's seed-0 point, the A4 mirror probe: 43,508 segments
+            (2, 3, 2.0 * (1 - 1e-4), 2000.0),
+        ],
+    )
+    def test_long_window_matches_30_digit_walk(self, n_qubits, n_max, ratio, t_final):
         # propagate keeps within 1e-16 per segment of the 30-digit walk
-        params = make_params(n_max=3, n_qubits=1)
-        schedule = CouplingSchedule.from_switching_frequency(20 * W0)
-        segments = len(switching_grid(schedule, 40.0)) - 1
+        params = make_params(n_max=n_max, n_qubits=n_qubits)
+        schedule = CouplingSchedule.from_switching_frequency(ratio * W0)
+        segments = len(switching_grid(schedule, t_final)) - 1
         assert segments > 8_000
-        traj = propagate(params, schedule, 40.0, 2.5)
-        assert len(traj.times) <= 20
+        traj = propagate(params, schedule, t_final, t_final / 16)
+        assert len(traj.times) == 17
         states, reference = mp_walk(params, schedule, traj.times)
         gap = np.abs(traj.amplitudes[:, states] - reference).max()
         assert gap <= 1e-16 * segments
