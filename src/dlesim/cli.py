@@ -23,8 +23,8 @@ import numpy as np
 from .closedform2q import ResonanceError, closedform_state, degenerate
 from .engine import PerturbativeSolution, run_to_order
 from .hilbert import _shown, check_number, norm, qubit_excitation
-from .model import TWO_PI, CouplingSchedule, SystemParams
-from .propagator import propagate, sample_times
+from .model import TWO_PI, CouplingSchedule, SystemParams, sample_times
+from .propagator import propagate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -355,9 +355,8 @@ def cmd_sweep(
             f"need 0 < ratio_min < ratio_max, got {ratio_min}, {ratio_max}"
         )
     check_field("points", points, int, within=(2, MAX_SWEEP_POINTS))
-    ratios = [
-        ratio_min + (ratio_max - ratio_min) * i / (points - 1) for i in range(points)
-    ]
+    span = ratio_max - ratio_min
+    ratios = [ratio_min + span * i / (points - 1) for i in range(points - 1)] + [ratio_max]
     # the ratio sets only the grid: one engine serves every point, and every
     # point is checked against the size budget before the first runs
     configs = [replace(config, switch_ratio=r, switch_freq_ghz=None) for r in ratios]

@@ -102,20 +102,29 @@ class CouplingSchedule:
         return segment_index % 2 == 0
 
 
-def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
-    """Half-period segment edges [0, T/2, T, ...] covering [0, t_final].
+def _multiples(step: float, t_final: float) -> np.ndarray:
+    """Multiples of ``step`` in [0, t_final], at least two, the last t_final exactly:
+    it replaces the last multiple within 1e-12 * max(1, t_final) of it, or follows."""
+    n = int(math.floor(t_final / step + 1e-12))
+    points = np.arange(n + 1) * step
+    if n == 0 or points[-1] < t_final - 1e-12 * max(1.0, t_final):
+        return np.append(points, t_final)
+    points[-1] = t_final
+    return points
 
-    The last edge is clipped to t_final, and there is always at least one
-    segment; the coupling is on in segment k when k is even, off when k is odd.
-    """
+
+def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
+    """Half-period segment edges [0, T/2, T, ..., t_final], one segment at least;
+    the coupling is on in segment k when k is even, off when k is odd."""
     check_number("t_final", t_final, above=0)
-    h = schedule.half_period
-    n_full = int(math.floor(t_final / h + 1e-12))
-    edges = np.arange(n_full + 1) * h
-    if n_full == 0 or edges[-1] < t_final - 1e-12 * max(1.0, t_final):
-        return np.append(edges, t_final)
-    edges[-1] = t_final
-    return edges
+    return _multiples(schedule.half_period, t_final)
+
+
+def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
+    """Multiples of sample_dt in [0, t_final] by the edges' rule: t_final is last."""
+    check_number("t_final", t_final, above=0)
+    check_number("sample_dt", sample_dt, above=0)
+    return _multiples(sample_dt, t_final)
 
 
 def locate(edges: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ by exact exponentials from one eigendecomposition.  Samples come from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .model import (
     bare_energies,
     hamiltonian_matrix,
     row_products,
+    sample_times,
     switching_grid,
 )
 
@@ -62,19 +62,6 @@ class _SegmentPropagator:
         rotated = row_products(psis, self.eigenvectors.conj())
         rotated *= np.exp(-1j * np.outer(taus, self.eigenvalues))
         return row_products(rotated, self.eigenvectors.T)
-
-
-def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
-    """Multiples of sample_dt in [0, t_final], with t_final always included."""
-    check_number("t_final", t_final, above=0)
-    check_number("sample_dt", sample_dt, above=0)
-    n = int(math.floor(t_final / sample_dt + 1e-9))
-    times = np.arange(n + 1, dtype=float) * sample_dt
-    times = times[times <= t_final * (1 + 1e-12)]
-    times[-1] = min(float(times[-1]), t_final)
-    if times[-1] < t_final * (1 - 1e-12):
-        times = np.append(times, t_final)
-    return times
 
 
 def propagate(

@@ -599,6 +599,15 @@ class TestCmdExact:
             assert row[0] == float(t)
             assert row[1] == float(value)
 
+    def test_last_row_is_t_final_exactly(self, tmp_path):
+        # the last multiple of sample_dt_ns is 1.95e-10 ns short of t_final_ns
+        path = tmp_path / "cfg.json"
+        config = {"t_final_ns": 207.43035, "sample_dt_ns": 0.042488805817248}
+        path.write_text(json.dumps(config))
+        out = tmp_path / "exact.csv"
+        assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("207.43035,")
+
 
 class TestCmdPerturb:
     def test_order_zero_all_zero(self, tmp_path):
@@ -751,6 +760,15 @@ class TestCmdSweep:
         monkeypatch.setattr(engine.Levels, "__init__", counting)
         cmd_sweep(fast_config(order=4), str(tmp_path / "s.csv"), 4.0, 24.0, 21)
         assert calls[0] == 1
+
+    def test_last_ratio_is_ratio_max(self, tmp_path):
+        # 0.1 + (7.7 - 0.1) * 10 / 10 rounds to 7.699999999999999
+        out = tmp_path / "s.csv"
+        span = ["--ratio-min", "0.1", "--ratio-max", "7.7", "--points", "11"]
+        assert main(["sweep", "--out", str(out), *span, "--t-final-ns", "1"]) == EXIT_OK
+        ratios = [row[0] for row in read_csv(out)[1]]
+        assert ratios[-1] == 7.7
+        assert ratios[:-1] == [0.1 + (7.7 - 0.1) * i / 10 for i in range(10)]
 
     def test_invalid_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

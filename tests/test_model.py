@@ -1,10 +1,13 @@
 import cmath
 import math
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dlesim import model
 from dlesim.engine import run_to_order
 from dlesim.hilbert import HilbertSpace
 from dlesim.model import (
@@ -350,6 +353,26 @@ def test_switching_grid_matches_reference_to_the_bit():
             expected = reference_grid(sched, t_final)
             assert edges.dtype == expected.dtype == np.float64
             assert edges.tobytes() == expected.tobytes()
+
+
+def test_sample_times_end_at_t_final_exactly():
+    # the last multiple of sample_dt is 1.95e-10 ns short, within 1e-12 * t_final
+    times = sample_times(207.43035, 0.042488805817248)
+    assert times[-1] == 207.43035
+    assert np.all(np.diff(times) > 0)
+    assert model.sample_times is sample_times  # made in model, imported by the propagator
+
+
+@pytest.mark.parametrize("name", ["compare-deep", "exact-long", "sweep-ratio"])
+def test_sample_times_match_the_bench_workloads_exactly(name):
+    # bench/checks.py holds the CSV's times to these within 1e-9 only
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    make = runpy.run_path(str(workloads))["make"]
+    for seed in range(13):
+        workload = make(name, seed)
+        config = workload.config
+        times = sample_times(config["t_final_ns"], config["sample_dt_ns"])
+        assert times.tolist() == workload.sample_times, seed
 
 
 class TestLocate:

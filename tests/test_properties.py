@@ -18,7 +18,14 @@ from dlesim import cli
 from dlesim.closedform2q import _nearest_pole
 from dlesim.engine import run_to_order
 from dlesim.hilbert import HilbertSpace, check_number, qubit_excitation
-from dlesim.model import TWO_PI, CouplingSchedule, SystemParams, bare_energies
+from dlesim.model import (
+    TWO_PI,
+    CouplingSchedule,
+    SystemParams,
+    bare_energies,
+    sample_times,
+    switching_grid,
+)
 from dlesim.propagator import propagate
 from test_csv import SPECIAL, assert_matches_reference
 from test_engine import CONTOUR_TOL, W0, WC, contour_errors
@@ -287,3 +294,20 @@ def test_truncation_gap_scales_as_next_order(omega0, omega_c, ratio, n_max, t_fi
         gaps.append(np.linalg.norm(traj.amplitudes - amps, axis=1).max())
     slope = np.polyfit(np.log(couplings), np.log(gaps), 1)[0]
     assert abs(slope - (order + 1)) <= 0.02
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sample_dt=st.floats(min_value=1e-3, max_value=1e3),
+    count=st.one_of(
+        st.floats(min_value=1e-6, max_value=1e4),
+        st.integers(min_value=1, max_value=10_000).map(float),  # a whole number of steps
+    ),
+)
+def test_samples_and_edges_follow_one_rule(sample_dt, count):
+    t_final = count * sample_dt
+    times = sample_times(t_final, sample_dt)
+    edges = switching_grid(CouplingSchedule(2 * sample_dt), t_final)
+    assert times.tobytes() == edges.tobytes()
+    assert times[0] == 0.0 and times[-1] == t_final
+    assert np.all(np.diff(times) > 0)
