@@ -34,7 +34,7 @@ from .engine import (
     zeroth_order,
 )
 from .exppoly import ExpPoly, linear_combination
-from .hilbert import HilbertSpace, photon_expectation, qubit_excitation
+from .hilbert import HilbertSpace, expectation, qubit_excitation
 from .model import (
     CouplingSchedule,
     LaplacePoleError,
@@ -61,12 +61,12 @@ __all__ = [
     "closedform_state",
     "convergence_check",
     "divergence_locations",
+    "expectation",
     "hamiltonian_matrix",
     "laplace_coupling",
     "linear_combination",
     "next_order",
     "pert_excitation_probability",
-    "photon_expectation",
     "propagate",
     "qubit_excitation",
     "run_to_order",

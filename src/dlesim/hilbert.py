@@ -152,28 +152,22 @@ def _unit_coupling(photons: np.ndarray, codes: np.ndarray, n_qubits: int) -> tup
     return rows, cols, np.concatenate(weights * 2)
 
 
-def qubit_excitation(
-    amplitudes: np.ndarray, space: HilbertSpace, qubit_index: int
-) -> np.ndarray:
-    """Weight on basis states whose bit at ``qubit_index`` is 1.
-
-    ``amplitudes`` is one state (dim,) or one state per row (S, dim); the
-    result has the leading shape.  Each row is reduced on its own, as in
-    ``norm``, so its bits do not depend on the batch.  Not renormalized.
-    """
-    qubit_index = check_number("qubit_index", qubit_index, int, within=(0, space.n_qubits - 1))
+def expectation(amplitudes: np.ndarray, diagonal) -> np.ndarray:
+    """sum_i |a_i|^2 d_i of one state (dim,) or of each row of (S, dim), for a
+    ``diagonal`` (dim,) or scalar; not renormalized.  The one reduction of the
+    observables: each row is reduced on its own, so its bits do not depend on
+    the batch."""
     weights = np.abs(amplitudes) ** 2
-    weights *= space.bit_table[:, qubit_index]
+    weights *= diagonal
     return weights.sum(axis=-1)
+
+
+def qubit_excitation(amplitudes: np.ndarray, space: HilbertSpace, qubit_index: int) -> np.ndarray:
+    """``expectation`` of the states whose bit at ``qubit_index`` is 1."""
+    qubit_index = check_number("qubit_index", qubit_index, int, within=(0, space.n_qubits - 1))
+    return expectation(amplitudes, space.bit_table[:, qubit_index])
 
 
 def norm(amplitudes: np.ndarray) -> np.ndarray:
-    """sqrt(sum |a|^2) of one state (dim,) or of each row of (S, dim)."""
-    return np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=-1))
-
-
-def photon_expectation(amplitudes: np.ndarray, space: HilbertSpace) -> np.ndarray:
-    """Photon number weighted by amplitude weight, for (dim,) or (S, dim)."""
-    weights = np.abs(amplitudes) ** 2
-    weights *= space.photon_counts
-    return weights.sum(axis=-1)
+    """sqrt of the ``expectation`` of the unit diagonal, per state or row."""
+    return np.sqrt(expectation(amplitudes, 1.0))

@@ -102,10 +102,14 @@ class CouplingSchedule:
         return segment_index % 2 == 0
 
 
-def _multiples(step: float, t_final: float) -> np.ndarray:
+def _multiples(step: float, t_final: float, name: str) -> np.ndarray:
     """Multiples of ``step`` in [0, t_final], at least two, the last t_final exactly:
-    it replaces the last multiple within 1e-12 * max(1, t_final) of it, or follows."""
-    n = int(math.floor(t_final / step + 1e-12))
+    it replaces the last multiple within 1e-12 * max(1, t_final) of it, or follows.
+    ValueError naming ``name``, the step's source, where t_final / step overflows."""
+    count = t_final / step
+    if not math.isfinite(count):
+        raise ValueError(f"{name} is too small for t_final={t_final}: t_final / step overflows")
+    n = int(math.floor(count + 1e-12))
     points = np.arange(n + 1) * step
     if n == 0 or points[-1] < t_final - 1e-12 * max(1.0, t_final):
         return np.append(points, t_final)
@@ -117,14 +121,14 @@ def switching_grid(schedule: CouplingSchedule, t_final: float) -> np.ndarray:
     """Half-period segment edges [0, T/2, T, ..., t_final], one segment at least;
     the coupling is on in segment k when k is even, off when k is odd."""
     check_number("t_final", t_final, above=0)
-    return _multiples(schedule.half_period, t_final)
+    return _multiples(schedule.half_period, t_final, "t_period")
 
 
 def sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     """Multiples of sample_dt in [0, t_final] by the edges' rule: t_final is last."""
     check_number("t_final", t_final, above=0)
     check_number("sample_dt", sample_dt, above=0)
-    return _multiples(sample_dt, t_final)
+    return _multiples(sample_dt, t_final, "sample_dt")
 
 
 def locate(edges: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import HilbertSpace, check_number, norm, photon_expectation, qubit_excitation
+from .hilbert import HilbertSpace, check_number, expectation, norm, qubit_excitation
 from .model import (
     CouplingSchedule,
     SegmentWalk,
@@ -48,7 +48,7 @@ class Trajectory:
         return qubit_excitation(self.amplitudes, self.space, qubit_index)
 
     def photon_expectations(self) -> np.ndarray:
-        return photon_expectation(self.amplitudes, self.space)
+        return expectation(self.amplitudes, self.space.photon_counts)
 
 
 class _SegmentPropagator:

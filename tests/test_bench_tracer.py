@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from dlesim.cli import RunConfig
-from dlesim.model import switching_grid
+from dlesim.model import sample_times, switching_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -82,6 +82,11 @@ def test_traced_pipeline_reports_every_layer(tmp_path, command, config):
     if command != "perturb":  # the one command that never propagates
         assert metrics["propagator.decompose_s"] > 0
         assert metrics["model.hamiltonian_s"] > 0
+        # cli.propagate is the one name behind these, and one exact run per point
+        assert metrics["propagator.propagate_s"] > 0
+        assert metrics["propagator.observables_s"] > 0
+        runs = len(SWEEP_RATIOS) if command == "sweep" else 1
+        assert metrics["propagator.samples"] == runs * len(sample_times(run.t_final_ns, run.sample_dt_ns))
     if evals is not None:
         assert metrics["engine.evals"] == evals
     # the hook sees write_csv's positional (path, header, rows) and counts len(rows)

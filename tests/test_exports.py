@@ -1,5 +1,6 @@
 """The package's export list and the README's library example."""
 
+import ast
 import contextlib
 import io
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import dlesim
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +23,29 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from dlesim import *", namespace)
     assert set(dlesim.__all__) <= set(namespace)
+
+
+def test_every_import_in_src_is_read():
+    # no linter runs here: an imported name that its module never reads
+    # fails, unless __init__.py re-exports it or its line says noqa: F401
+    unused = []
+    for path in sorted((ROOT / "src" / "dlesim").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(dlesim.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
 
 
 def test_readme_library_example_prints_a_small_difference():

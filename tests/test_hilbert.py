@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dlesim.hilbert import HilbertSpace, norm, photon_expectation, qubit_excitation
+from dlesim.hilbert import HilbertSpace, expectation, norm, qubit_excitation
 
 
 def configurations(space):
@@ -147,7 +147,7 @@ def test_ground_state_probabilities():
     psi = basis_vector(space, 0)
     assert qubit_excitation(psi, space, 0) == 0.0
     assert qubit_excitation(psi, space, 1) == 0.0
-    assert photon_expectation(psi, space) == 0.0
+    assert expectation(psi, space.photon_counts) == 0.0
 
 
 def test_fully_excited():
@@ -174,7 +174,7 @@ def test_equal_superposition_half():
 def test_excited_one_photon_expectation():
     space = HilbertSpace(2, 1)
     psi = basis_vector(space, space.index_of((0, 1), 1))
-    assert photon_expectation(psi, space) == pytest.approx(1.0)
+    assert expectation(psi, space.photon_counts) == pytest.approx(1.0)
 
 
 def test_mixed_photon_expectation():
@@ -182,7 +182,7 @@ def test_mixed_photon_expectation():
     psi = np.zeros(8, dtype=complex)
     psi[space.index_of((0, 0), 0)] = 1 / np.sqrt(2)
     psi[space.index_of((0, 1), 1)] = 1 / np.sqrt(2)
-    assert photon_expectation(psi, space) == pytest.approx(0.5)
+    assert expectation(psi, space.photon_counts) == pytest.approx(0.5)
 
 
 def test_excitation_bounded_by_norm():
@@ -270,14 +270,14 @@ def test_batched_observables_match_rows():
     rng = np.random.default_rng(3)
     space = HilbertSpace(3, 2)
     amps = rng.normal(size=(5, space.dim)) + 1j * rng.normal(size=(5, space.dim))
-    photons = photon_expectation(amps, space)
+    photons = expectation(amps, space.photon_counts)
     assert photons.shape == (5,)
     for q in range(space.n_qubits):
         batched = qubit_excitation(amps, space, q)
         for row, value in zip(amps, batched):
             assert qubit_excitation(row, space, q) == value
     for row, value in zip(amps, photons):
-        assert photon_expectation(row, space) == value
+        assert expectation(row, space.photon_counts) == value
 
 
 @pytest.mark.parametrize("n_qubits, n_max", [(2, 2), (3, 4), (6, 2)])
@@ -286,7 +286,7 @@ def test_observables_do_not_depend_on_the_batch(n_qubits, n_max):
     space = HilbertSpace(n_qubits, n_max)
     rng = np.random.default_rng(n_qubits)
     amps = rng.normal(size=(10, space.dim)) + 1j * rng.normal(size=(10, space.dim))
-    observables = [lambda a: photon_expectation(a, space), norm] + [
+    observables = [lambda a: expectation(a, space.photon_counts), norm] + [
         lambda a, q=q: qubit_excitation(a, space, q) for q in range(n_qubits)
     ]
     for f in observables:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dlesim import model
-from dlesim.engine import run_to_order
+from dlesim.engine import run_to_order, zeroth_order
 from dlesim.hilbert import HilbertSpace
 from dlesim.model import (
     TWO_PI,
@@ -23,7 +23,7 @@ from dlesim.model import (
     period_starts,
     switching_grid,
 )
-from dlesim.propagator import convergence_check, sample_times
+from dlesim.propagator import convergence_check, propagate, sample_times
 
 W0 = TWO_PI * 5.439
 WC = TWO_PI * 4.343
@@ -361,6 +361,28 @@ def test_sample_times_end_at_t_final_exactly():
     assert times[-1] == 207.43035
     assert np.all(np.diff(times) > 0)
     assert model.sample_times is sample_times  # made in model, imported by the propagator
+
+
+SUBNORMAL_PERIOD = CouplingSchedule(t_period=1e-320)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("sample_dt", lambda: sample_times(1.0, 1e-320), id="sample_times"),
+        pytest.param("t_period", lambda: switching_grid(SUBNORMAL_PERIOD, 1.0), id="switching_grid"),
+        pytest.param(
+            "t_period", lambda: propagate(make_params(), SUBNORMAL_PERIOD, 1.0, 0.01), id="propagate"
+        ),
+        pytest.param(
+            "t_period", lambda: zeroth_order(make_params(), SUBNORMAL_PERIOD, 1.0).walk, id="walk"
+        ),
+    ],
+)
+def test_a_subnormal_step_is_refused_by_name(name, call):
+    # a positive finite step, but 1.0 / step overflows: no count of steps to floor
+    with pytest.raises(ValueError, match=f"^{name} is too small for t_final=1.0: "):
+        call()
 
 
 @pytest.mark.parametrize("name", ["compare-deep", "exact-long", "sweep-ratio"])
