@@ -22,7 +22,7 @@ import numpy as np
 
 from .closedform2q import ResonanceError, closedform_state, degenerate
 from .engine import PerturbativeSolution, run_to_order
-from .hilbert import _shown, check_number, norm, qubit_excitation
+from .hilbert import HilbertSpace, _shown, check_number, norm, qubit_excitation
 from .model import TWO_PI, CouplingSchedule, SystemParams, sample_times
 from .propagator import propagate
 
@@ -57,42 +57,29 @@ def check_field(
         )
 
 
-def reachable_bound(n_qubits: int, n_max: int) -> tuple[int, int]:
-    """Upper bounds (R, L) on the engine's reachable states and distinct levels.
-
-    The coupling flips one qubit and moves one photon, so the ground state's
-    sector (``HilbertSpace.sector(0)``, pinned by a test) is the R = dim/2
-    states with an even number of photons plus excitations, and its L bare
-    energies are the (photons, excitations) pairs of even sum.  R is exact
-    for n_max >= 1; L too, unless two pairs share an energy (omega0 = omega_c).
-    """
-    return 2**n_qubits * (n_max + 1) // 2, ((n_max + 1) * (n_qubits + 1) + 1) // 2
-
-
 def response_bound(n_qubits: int, n_max: int, order: int) -> int:
     """Upper bound on the elements of an engine response's ``coeffs``, (U R, R).
 
     Every (power, rate) term is tau^k exp(-iE tau) with k <= order and E one
-    of the L levels, so U <= (order+1) L.
+    of the L levels (R and L ``HilbertSpace.sizes``'s), so U <= (order+1) L.
     """
-    reachable, levels = reachable_bound(n_qubits, n_max)
+    _, reachable, levels = HilbertSpace.sizes(n_qubits, n_max)
     return (order + 1) * levels * reachable**2
 
 
 def _check_size(config: "RunConfig", engine: bool = False) -> None:
     """Reject, before any allocation, a run whose largest array is too big.
 
-    With dim = 2^N (n_max+1), every command is budgeted for the R x R sector
-    Hamiltonian (R = ``reachable_bound``'s), the samples x dim amplitudes and
-    one walk's periods x width period starts: width = R for exact
-    propagation's sector rows, and with ``engine`` (perturb, compare and
-    sweep) (J+1)R for the engine's stacked rows, J = order, which also
-    budgets its width x width on map and response (``response_bound``).
+    With dim and R ``HilbertSpace.sizes``'s, every command is budgeted for
+    the R x R sector Hamiltonian, the samples x dim amplitudes and one walk's
+    periods x width period starts: width = R for exact propagation's sector
+    rows, and with ``engine`` (perturb, compare and sweep) (J+1)R for the
+    engine's stacked rows, J = order, which also budgets its width x width
+    on map and response (``response_bound``).
     """
     n_max = min(config.params.n_max, 1 << 32)  # the caps keep the ints small
     n_qubits = min(config.n_qubits, 64)
-    dim = 2**n_qubits * (n_max + 1)
-    reachable = reachable_bound(n_qubits, n_max)[0]
+    dim, reachable, _ = HilbertSpace.sizes(n_qubits, n_max)
     width = (config.order + 1 if engine else 1) * reachable
     segments = config.t_final_ns * config.switching_frequency / math.pi
     periods = np.ceil(segments / 2)  # stays inf when segments overflow

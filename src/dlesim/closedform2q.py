@@ -8,9 +8,10 @@ switching period they differ from the exact segment-wise solution by terms
 that vanish in the fast-switching limit (e.g. the first-order coefficient
 does not vanish exactly at t = 0).  The module serves as an independent
 oracle for the engine and as the source of the resonance predictions.
-Every coefficient takes a time or an array of times and the (SystemParams,
-CouplingSchedule) pair of the other two pipelines, of which it reads only
-omega0, omega_c, g_eff and t_period; ``closedform_state`` fills params.space().
+Every coefficient takes a time or an array of times, each finite and >= 0,
+and the (SystemParams, CouplingSchedule) pair of the other two pipelines, of
+which it reads only omega0, omega_c, g_eff and t_period; ``closedform_state``
+fills params.space().
 """
 
 from __future__ import annotations
@@ -78,7 +79,13 @@ def _nearest_pole(varpi_s: float, primary: float) -> tuple[Optional[float], int]
     return primary / (2 * m + 1), m
 
 
-def _guard(params: SystemParams, schedule: CouplingSchedule, families=_FAMILIES) -> None:
+def _guard(t: Times, params: SystemParams, schedule: CouplingSchedule, families=_FAMILIES):
+    """ValueError naming t unless every time is finite and >= 0, then
+    ResonanceError where the switching frequency is in a family's guard band."""
+    times = np.asarray(t, dtype=float)
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
+        raise ValueError(f"t must be finite and >= 0, got {bad[0]}")
     varpi_s = schedule.switching_frequency
     for name, primary_fn in families:
         pole, _ = _nearest_pole(varpi_s, primary_fn(params))
@@ -91,7 +98,7 @@ _SUM_ONLY = _FAMILIES[1:2]  # the one denominator of alpha1_ge1 and alpha2_gg0
 
 def alpha1_ge1(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """First-order coefficient of the one-excitation, one-photon states."""
-    _guard(params, schedule, _SUM_ONLY)
+    _guard(t, params, schedule, _SUM_ONLY)
     omega = params.omega0 + params.omega_c
     denom = 1.0 + cmath.exp(0.5j * schedule.t_period * omega)
     return (
@@ -108,7 +115,7 @@ def alpha1_eg1(t: Times, params: SystemParams, schedule: CouplingSchedule) -> co
 
 def alpha2_gg0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Second-order coefficient of the initial state, secular term included."""
-    _guard(params, schedule, _SUM_ONLY)
+    _guard(t, params, schedule, _SUM_ONLY)
     omega = params.omega0 + params.omega_c
     ts = schedule.t_period
     phase = np.exp(-1j * t * omega)
@@ -125,7 +132,7 @@ def alpha2_gg0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> co
 
 def alpha2_ee0(t: Times, params: SystemParams, schedule: CouplingSchedule) -> complex | np.ndarray:
     """Second-order coefficient of the doubly excited, zero-photon state."""
-    _guard(params, schedule)
+    _guard(t, params, schedule)
     w0 = params.omega0
     wc = params.omega_c
     if degenerate(params):

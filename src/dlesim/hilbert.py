@@ -8,7 +8,7 @@ index = photons * 2^N + bit code, so |gg...g,0> is always index 0.
 
 from __future__ import annotations
 
-import math
+import cmath
 import numbers
 from typing import Sequence
 
@@ -26,9 +26,8 @@ class HilbertSpace:
     """
 
     def __init__(self, n_qubits: int, n_max: int):
-        self.n_qubits = n_qubits = check_number("n_qubits", n_qubits, int, at_least=1)
-        self.n_max = n_max = check_number("n_max", n_max, int, at_least=0)
-        self.dim = 2**n_qubits * (n_max + 1)
+        self.dim = self.sizes(n_qubits, n_max)[0]
+        self.n_qubits, self.n_max = n_qubits, n_max = int(n_qubits), int(n_max)
         self.photon_counts, codes = np.divmod(np.arange(self.dim, dtype=np.int64), 2**n_qubits)
         # dim x n_qubits bits, first qubit the most significant bit of the code
         shifts = np.arange(n_qubits - 1, -1, -1)
@@ -37,6 +36,18 @@ class HilbertSpace:
         self.edges = _unit_coupling(self.photon_counts, codes, n_qubits)
         for array in (self.bit_table, self.photon_counts, self.excitation_counts, *self.edges):
             array.setflags(write=False)
+
+    @classmethod
+    def sizes(cls, n_qubits: int, n_max: int) -> tuple[int, int, int]:
+        """(dim, R, L), allocating nothing: dim = 2^N (n_max+1) states; the ground
+        state's ``sector(0)`` holds R = dim/2, those of even photons plus excitations
+        (V flips a qubit and moves a photon; exact for n_max >= 1); and its bare
+        energies take at most L values, one per (photons, excitations) pair of
+        even sum (exact unless two pairs share an energy, omega0 = omega_c)."""
+        n_qubits = check_number("n_qubits", n_qubits, int, at_least=1)
+        n_max = check_number("n_max", n_max, int, at_least=0)
+        dim = 2**n_qubits * (n_max + 1)
+        return dim, dim // 2, ((n_max + 1) * (n_qubits + 1) + 1) // 2
 
     def index_of(self, bits: Sequence[int], photons: int) -> int:
         """Inverse of the enumeration order: photons * 2^N + bit code.
@@ -93,14 +104,16 @@ def check_number(name: str, value, kind: type = float, above=None, at_least=None
     """``value``, as an int when ``kind`` is int, or ValueError naming ``name``
     unless it is of ``kind`` and in range.
 
-    ``kind`` float takes a finite number, int an integer; a bool is neither.
+    ``kind`` float takes a finite real number, complex a finite real or complex
+    one, int an integer; a bool is none of them.
     The range is ``> above``, ``>= at_least`` or ``in within``, a closed
     [lo, hi].  The one number check of the library and the config.
     """
     try:
         ok = not isinstance(value, bool) and (
             isinstance(value, numbers.Integral) if kind is int
-            else isinstance(value, numbers.Real) and math.isfinite(value)
+            else isinstance(value, numbers.Complex if kind is complex else numbers.Real)
+            and cmath.isfinite(value)
         )
     except OverflowError:  # an integer past the float range
         ok = False

@@ -105,10 +105,14 @@ class CouplingSchedule:
 def _multiples(step: float, t_final: float, name: str) -> np.ndarray:
     """Multiples of ``step`` in [0, t_final], at least two, the last t_final exactly:
     it replaces the last multiple within 1e-12 * max(1, t_final) of it, or follows.
-    ValueError naming ``name``, the step's source, where t_final / step overflows."""
+    ValueError naming ``name``, the step's source, where t_final / step is past
+    the index range of a float64 array (2^60 elements) or overflows."""
     count = t_final / step
-    if not math.isfinite(count):
-        raise ValueError(f"{name} is too small for t_final={t_final}: t_final / step overflows")
+    if not count < np.iinfo(np.intp).max // 8:
+        raise ValueError(
+            f"{name} is too small for t_final={t_final}: t_final / step = {count:.3g} "
+            "is past the index range"
+        )
     n = int(math.floor(count + 1e-12))
     points = np.arange(n + 1) * step
     if n == 0 or points[-1] < t_final - 1e-12 * max(1.0, t_final):
@@ -224,10 +228,11 @@ def laplace_coupling(schedule: CouplingSchedule, s: complex) -> complex:
     behaves like the duty-cycle average 1/(2s) and for Re(s)*T >> 1 like
     1/s (the first on half-period dominates).
 
-    Raises :class:`LaplacePoleError` at s = 0 and on the odd-harmonic pole
-    family s = 2*pi*i*(2k+1)/T where 1 + e^(-T s/2) vanishes.
+    ``s`` is a finite real or complex number.  Raises :class:`LaplacePoleError`
+    at s = 0 and on the odd-harmonic pole family s = 2*pi*i*(2k+1)/T where
+    1 + e^(-T s/2) vanishes.
     """
-    s = complex(s)
+    s = complex(check_number("s", s, complex))
     if abs(s) * schedule.t_period < 1e-12:
         raise LaplacePoleError("laplace_coupling pole at s = 0")
     denom = 1.0 + cmath.exp(-0.5 * schedule.t_period * s)

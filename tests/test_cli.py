@@ -22,9 +22,9 @@ from dlesim.cli import (
     cmd_sweep,
     load_config,
     main,
-    reachable_bound,
 )
 from dlesim.engine import run_to_order
+from dlesim.hilbert import HilbertSpace
 from dlesim.model import TWO_PI
 from dlesim.propagator import propagate
 
@@ -471,7 +471,7 @@ class TestSizeBudget:
         monkeypatch.setattr(propagator, "SegmentWalk", Walk)
         config = fast_config(n_max=3)
         assert cmd_exact(config, str(tmp_path / "e.csv")) == EXIT_OK
-        reachable = reachable_bound(config.n_qubits, config.params.n_max)[0]
+        reachable = HilbertSpace.sizes(config.n_qubits, config.params.n_max)[1]
         periods = np.ceil(config.t_final_ns * config.switching_frequency / np.pi / 2)
         assert shapes["starts"] == (periods, reachable)
         assert shapes["hamiltonian"] == (reachable, reachable)

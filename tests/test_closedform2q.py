@@ -233,6 +233,21 @@ class TestGuards:
         with pytest.raises(ResonanceError):
             alpha1_ge1(1.0, *make_params(t_period=TWO_PI / (OMEGA_SUM * (1 + 1e-8))))
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "form", [alpha1_ge1, alpha1_eg1, alpha2_gg0, alpha2_ee0, closedform_state]
+    )
+    def test_time_refused_unless_finite_and_non_negative(self, form, t):
+        # amplitudes_at and propagate refuse these too; no numpy warning is raised
+        for times in (t, np.array([t]), np.array([0.0, 1.0, t])):
+            with pytest.raises(ValueError, match=f"^t must be finite and >= 0, got {t}$"):
+                form(times, *make_params())
+
+    @pytest.mark.parametrize("form", [alpha1_ge1, alpha1_eg1, alpha2_gg0, alpha2_ee0])
+    def test_scalar_time_gives_a_scalar(self, form):
+        p = make_params()
+        assert np.ndim(form(0.5, *p)) == 0 and np.ndim(form(0, *p)) == 0
+
 
 class TestClosedFormState:
     def test_one_photon_amplitudes_vanish_at_origin_fast_limit(self):

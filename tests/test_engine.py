@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dlesim import engine
-from dlesim.cli import reachable_bound, response_bound
+from dlesim.cli import response_bound
 from dlesim.engine import (
     next_order,
     pert_excitation_probability,
@@ -305,7 +305,7 @@ def test_response_coefficients_within_budget_bound(n_qubits, n_max):
 def test_budget_counts_match_the_engines_levels(n_qubits, n_max):
     # the size budget's R and L are exact at the paper's frequencies for
     # n_max >= 1, and upper bounds at n_max = 0 and at omega0 = omega_c
-    reachable, n_levels = reachable_bound(n_qubits, n_max)
+    _, reachable, n_levels = HilbertSpace.sizes(n_qubits, n_max)
     if n_max >= 1:
         assert len(HilbertSpace(n_qubits, n_max).sector(0)) == reachable
     for omega0, exact in ((W0, n_max >= 1), (WC, False)):

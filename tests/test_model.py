@@ -145,6 +145,14 @@ class TestLaplaceCoupling:
         value = laplace_coupling(sched, sigma)
         assert value.real == pytest.approx(1 / (2 * sigma), rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "s", [math.nan, complex(math.nan, 1.0), 1j * math.inf, math.inf, True, np.True_, "1", None]
+    )
+    def test_rejects_a_bad_s_by_name(self, s):
+        # none of these is a pole: nan and inf gave nan+nanj, "1" was taken as 1
+        with pytest.raises(ValueError, match="^s must be a finite number, got "):
+            laplace_coupling(CouplingSchedule(t_period=1.0), s)
+
     def test_pole_family_detected(self):
         sched = CouplingSchedule(t_period=1.0)
         with pytest.raises(LaplacePoleError):
@@ -382,6 +390,25 @@ SUBNORMAL_PERIOD = CouplingSchedule(t_period=1e-320)
 def test_a_subnormal_step_is_refused_by_name(name, call):
     # a positive finite step, but 1.0 / step overflows: no count of steps to floor
     with pytest.raises(ValueError, match=f"^{name} is too small for t_final=1.0: "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("sample_dt", lambda: sample_times(1.0, 1e-300), id="sample_times"),
+        pytest.param(
+            "t_period",
+            lambda: switching_grid(CouplingSchedule(t_period=1e-300), 1.0),
+            id="switching_grid",
+        ),
+        # 2^61 steps: finite, but past the 2^60 float64 elements an array may hold
+        pytest.param("sample_dt", lambda: sample_times(2.0**61, 1.0), id="2^61 samples"),
+    ],
+)
+def test_a_count_past_the_index_range_is_refused_by_name(name, call):
+    # numpy's own refusal named no step; no count here could be allocated
+    with pytest.raises(ValueError, match=f"^{name} is too small for t_final=.*past the index range$"):
         call()
 
 
